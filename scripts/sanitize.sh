@@ -5,7 +5,8 @@
 #
 # `asan` (the default) uses the `asan-ubsan` CMake preset (build dir:
 # build-asan); `tsan` uses the `tsan` preset (build dir: build-tsan) to
-# race-check the speculative LoC-MPS probe pool (docs/parallelism.md).
+# race-check compare_schemes' parallel experiment grid
+# (LOCMPS_THREADS, see README.md).
 # Benches and examples are skipped in both to keep the instrumented builds
 # fast. Any extra arguments are forwarded to ctest, e.g. `-R Obs` to scope
 # the run.

@@ -11,8 +11,6 @@
 /// network. Data resident on processors shared by both groups stays local —
 /// this is the locality the LoCBS scheduler exploits.
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/processor_set.hpp"
@@ -34,95 +32,5 @@ double remote_fraction(const std::vector<ProcId>& src,
 /// order). Zero when the sets are identical.
 double remote_volume(double volume_bytes, const ProcessorSet& src,
                      const ProcessorSet& dst);
-
-/// Memo of remote_fraction() results keyed on the (src, dst) layout pair.
-///
-/// Refinement re-scores the same producer/consumer layout pairs thousands
-/// of times per planning run (the hole scan asks for every candidate
-/// subset at every probe instant), and remote_fraction() is a pure
-/// function of the two ordered lists — under the library's fixed 1-D
-/// block-cyclic distribution the ordered processor list *is* the layout,
-/// so no further key component is needed. One memo serves one evaluation
-/// stream (it is not thread-safe); speculative probes each own their own,
-/// keeping lookups lock-free and results bit-identical to the direct
-/// computation (docs/incremental.md).
-class RedistMemo {
- public:
-  /// remote_fraction(src, dst), served from the memo when seen before.
-  /// The lookup is heterogeneous (C++20 transparent hashing): the hot hit
-  /// path hashes and compares the caller's vectors in place, and the two
-  /// key copies are only made when a miss inserts.
-  double fraction(const std::vector<ProcId>& src,
-                  const std::vector<ProcId>& dst) {
-    ++lookups_;
-    const auto it = map_.find(KeyView{&src, &dst});
-    if (it != map_.end()) {
-      ++hits_;
-      return it->second;
-    }
-    const double f = remote_fraction(src, dst);
-    if (map_.size() >= kCap) {
-      map_.clear();  // wholesale eviction bounds memory, like ProbeMemo
-      ++evictions_;
-    }
-    map_.emplace(Key{src, dst}, f);
-    return f;
-  }
-
-  std::uint64_t lookups() const { return lookups_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t evictions() const { return evictions_; }
-
- private:
-  static constexpr std::size_t kCap = 1 << 16;
-
-  struct Key {
-    std::vector<ProcId> src;
-    std::vector<ProcId> dst;
-  };
-  struct KeyView {
-    const std::vector<ProcId>* src;
-    const std::vector<ProcId>* dst;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    static std::size_t mix_lists(const std::vector<ProcId>& src,
-                                 const std::vector<ProcId>& dst) {
-      // FNV-1a over both lists with a separator; ProcIds are small ints,
-      // so hashing the raw values keeps this deterministic across runs.
-      std::uint64_t h = 1469598103934665603ull;
-      auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-      };
-      for (ProcId q : src) mix(q);
-      mix(~0ull);  // separator so ({a,b},{c}) != ({a},{b,c})
-      for (ProcId q : dst) mix(q);
-      return static_cast<std::size_t>(h);
-    }
-    std::size_t operator()(const Key& k) const {
-      return mix_lists(k.src, k.dst);
-    }
-    std::size_t operator()(const KeyView& k) const {
-      return mix_lists(*k.src, *k.dst);
-    }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const Key& a, const Key& b) const {
-      return a.src == b.src && a.dst == b.dst;
-    }
-    bool operator()(const KeyView& a, const Key& b) const {
-      return *a.src == b.src && *a.dst == b.dst;
-    }
-    bool operator()(const Key& a, const KeyView& b) const {
-      return a.src == *b.src && a.dst == *b.dst;
-    }
-  };
-  std::unordered_map<Key, double, KeyHash, KeyEq> map_;
-  std::uint64_t lookups_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t evictions_ = 0;
-};
 
 }  // namespace locmps

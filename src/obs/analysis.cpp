@@ -332,7 +332,6 @@ void join_mitigation_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap) {
 }
 
 void join_event_health(ScheduleAnalysis& a, const MetricsSnapshot& snap) {
-  a.events_dropped = snap.counter("obs.events.dropped");
   a.trace_dropped = snap.counter("obs.trace.dropped");
 }
 

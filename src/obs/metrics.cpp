@@ -54,15 +54,6 @@ void MetricsRegistry::reset() {
   epoch_.reset();
 }
 
-void MetricsRegistry::merge_from(const MetricsSnapshot& snap) {
-  for (const auto& [name, value] : snap.counters) cell(name) += value;
-  for (const TimerStats& ts : snap.timers) {
-    TimerData& td = timers_[ts.name];
-    td.total_s += ts.total_s;
-    td.count += ts.count;
-  }
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());

@@ -76,10 +76,8 @@ struct MetricsSnapshot {
 };
 
 /// The registry. Thread-compatible, never internally locked: exactly one
-/// thread may touch a given registry at a time. The parallel LoC-MPS
-/// probes each own a private registry and the orchestrator merges the
-/// snapshots after the batch barrier (schedulers/loc_mps.cpp,
-/// docs/parallelism.md) — sharing one registry across workers is a bug.
+/// thread may touch a given registry at a time (compare_schemes gives
+/// every run its own) — sharing one registry across workers is a bug.
 class LOCMPS_THREAD_COMPATIBLE MetricsRegistry {
  public:
   /// Bounds on per-instrument recording so long optimization runs cannot
@@ -148,14 +146,6 @@ class LOCMPS_THREAD_COMPATIBLE MetricsRegistry {
   void reset();
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Folds another registry's snapshot into this one: counters and timer
-  /// totals/counts add up; timer spans and series points are NOT
-  /// transferred (they are relative to the donor's epoch, which differs
-  /// from ours). Used by the parallel LoC-MPS reduction to merge per-probe
-  /// registries into the session registry in candidate order
-  /// (docs/parallelism.md).
-  void merge_from(const MetricsSnapshot& snap);
 
  private:
   friend class ScopedTimer;

@@ -108,13 +108,10 @@ const ProfileNode* ProfileSnapshot::find(std::string_view path) const {
 // ---------------------------------------------------------------------------
 // Profiler.
 
-Profiler::Profiler(bool record_intervals)
-    : record_intervals_(record_intervals) {
-  if (record_intervals_) {
-    pause_alloc_counting();
-    intervals_.reserve(kMaxIntervals);
-    resume_alloc_counting();
-  }
+Profiler::Profiler() {
+  pause_alloc_counting();
+  intervals_.reserve(kMaxIntervals);
+  resume_alloc_counting();
 }
 
 Profiler::~Profiler() = default;
@@ -167,37 +164,15 @@ void Profiler::close_span() {
   f.node->cpu_s += cpu1 - f.cpu0;
   f.node->alloc_bytes += bytes1 - f.bytes0;
   f.node->allocs += allocs1 - f.allocs0;
-  if (record_intervals_) {
-    if (intervals_.size() < kMaxIntervals) {
-      ProfileInterval iv;
-      iv.name = *f.name;
-      iv.depth = static_cast<int>(stack_.size());
-      iv.begin_s = f.wall0;
-      iv.end_s = wall1;
-      intervals_.push_back(std::move(iv));
-    } else {
-      ++intervals_dropped_;
-    }
-  }
-  resume_alloc_counting();
-}
-
-void Profiler::merge_node(Node& into, const ProfileNode& from) {
-  into.count += from.count;
-  into.wall_s += from.wall_s;
-  into.cpu_s += from.cpu_s;
-  into.alloc_bytes += from.alloc_bytes;
-  into.allocs += from.allocs;
-  for (const ProfileNode& c : from.children) {
-    merge_node(into.children[c.name], c);
-  }
-}
-
-void Profiler::merge_from(const ProfileSnapshot& snap) {
-  pause_alloc_counting();
-  Node* at = current();
-  for (const ProfileNode& c : snap.root.children) {
-    merge_node(at->children[c.name], c);
+  if (intervals_.size() < kMaxIntervals) {
+    ProfileInterval iv;
+    iv.name = *f.name;
+    iv.depth = static_cast<int>(stack_.size());
+    iv.begin_s = f.wall0;
+    iv.end_s = wall1;
+    intervals_.push_back(std::move(iv));
+  } else {
+    ++intervals_dropped_;
   }
   resume_alloc_counting();
 }

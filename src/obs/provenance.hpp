@@ -7,9 +7,7 @@
 /// volume and resident-input locality score — plus the winner, the margin
 /// over the distinct runner-up, and the branch switches (backfill /
 /// locality / comm-blind) in force. The record flows through the ordinary
-/// event path (EventBuffer on speculative probes, JSONL sink on the
-/// session), so the candidate-order replay of docs/parallelism.md makes
-/// the stream bit-identical at every thread count for free.
+/// event path (the attached sink, usually JSONL).
 ///
 /// This header owns the record schema: the structs, the compact candidate
 /// encoding used for the single-line JSONL field, the TraceRecord

@@ -15,9 +15,9 @@
 /// (LocMPSOptions::incremental = false) never consults this context and
 /// serves as the differential-equivalence oracle (tests/test_incremental).
 ///
-/// One IncrementalContext serves one evaluation stream: the sequential
-/// planner owns one, and every speculative probe owns its own, so no
-/// locking is needed and replay decisions stay bit-deterministic.
+/// One IncrementalContext serves one evaluation stream (one LoC-MPS run
+/// owns one), so no locking is needed and replay decisions stay
+/// bit-deterministic.
 
 #include <cstdint>
 #include <memory>

@@ -350,8 +350,7 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   // Block-cyclic remote fraction, always computed directly: the fraction
   // is O(|src| + |dst|) with a tiny constant, so any hash-keyed memo of it
   // costs more per lookup than the computation it would skip (measured
-  // ~6x; docs/incremental.md). Memoization lives at the evaluation level
-  // (the LoC-MPS probe memo) where a hit elides a whole LoCBS pass.
+  // ~6x; docs/incremental.md).
   auto rfrac = [&](const std::vector<ProcId>& src,
                    const std::vector<ProcId>& dst) {
     return remote_fraction(src, dst);
@@ -935,10 +934,8 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
 
   if (incr != nullptr) {
     // Stream bookkeeping: dirty vs replayed split of this evaluation, and
-    // whether it had any replay base at all (incr.cache_hits — whole
-    // evaluations served from the memo — is accounted at the eval_locbs
-    // funnel). The incr.* family is digest-excluded (the from-scratch
-    // oracle produces none), like the locmps.parallel.* wall-clock family.
+    // whether it had any replay base at all. The incr.* family is
+    // digest-excluded (the from-scratch oracle produces none).
     if (met != nullptr) {
       met->add("incr.dirty_tasks", static_cast<double>(scanned_tasks));
       met->add("incr.replayed_tasks", static_cast<double>(replayed_tasks));

@@ -22,7 +22,6 @@ SchedulerPtr make_scheduler(const std::string& name,
                             const SchedulerOptions& sopt) {
   if (name == "loc-mps") {
     LocMPSOptions opt;
-    opt.threads = sopt.threads;
     opt.locbs.perturb_task = sopt.perturb_task;
     opt.locbs.slack_factor = sopt.slack_factor;
     opt.incremental = sopt.incremental;
@@ -32,7 +31,6 @@ SchedulerPtr make_scheduler(const std::string& name,
   if (name == "loc-mps-nbf") {
     LocMPSOptions opt;
     opt.locbs.backfill = false;
-    opt.threads = sopt.threads;
     opt.locbs.perturb_task = sopt.perturb_task;
     opt.locbs.slack_factor = sopt.slack_factor;
     opt.incremental = sopt.incremental;
@@ -42,7 +40,6 @@ SchedulerPtr make_scheduler(const std::string& name,
   if (name == "loc-mps-noloc") {
     LocMPSOptions opt;
     opt.locbs.locality = false;
-    opt.threads = sopt.threads;
     opt.locbs.perturb_task = sopt.perturb_task;
     opt.locbs.slack_factor = sopt.slack_factor;
     opt.incremental = sopt.incremental;
@@ -51,7 +48,6 @@ SchedulerPtr make_scheduler(const std::string& name,
   }
   if (name == "icaslb") {
     LocMPSOptions opt;
-    opt.threads = sopt.threads;
     opt.locbs.perturb_task = sopt.perturb_task;
     opt.locbs.slack_factor = sopt.slack_factor;
     opt.incremental = sopt.incremental;

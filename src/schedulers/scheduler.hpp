@@ -21,13 +21,6 @@ using Allocation = std::vector<std::size_t>;
 /// Scheme-independent construction knobs, applied by the registry factory
 /// (make_scheduler) to every scheduler that supports them.
 struct SchedulerOptions {
-  /// Worker threads a scheduler may use internally. LoC-MPS-backed
-  /// schemes fan their speculative LoCBS probes across this many workers;
-  /// every setting produces bit-identical schedules (the determinism
-  /// contract of docs/parallelism.md). 1 = the sequential reference path;
-  /// 0 = one worker per hardware thread.
-  std::size_t threads = 1;
-
   /// Slack-aware placement: forwarded to LocBSOptions::slack_factor by
   /// every LoCBS-backed scheme. Inflates modeled execution times during
   /// the hole scan so schedules carry headroom against performance faults

@@ -21,9 +21,7 @@
 /// Thread-compatible classes (safe from one thread at a time, externally
 /// synchronized or thread-private by design — obs::MetricsRegistry,
 /// obs::EventBuffer) carry the LOCMPS_THREAD_COMPATIBLE marker instead of
-/// a capability: they have no lock for the analysis to track, and the
-/// probe machinery in schedulers/loc_mps.cpp keeps them private per
-/// worker (docs/parallelism.md).
+/// a capability: they have no lock for the analysis to track.
 
 #include <condition_variable>
 #include <mutex>

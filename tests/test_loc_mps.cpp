@@ -124,11 +124,16 @@ TEST(LocMPS, RespectsMaxLocbsCallBudget) {
   Rng rng(17);
   const TaskGraph g = make_synthetic_dag(p, rng);
   const Cluster c(16);
-  LocMPSOptions opt;
-  opt.max_locbs_calls = 25;
-  const SchedulerResult r = LocMPSScheduler(opt).schedule(g, c);
-  EXPECT_LE(r.iterations, 25u + 2u);
-  EXPECT_EQ(r.schedule.validate(g, CommModel(c)), "");
+  for (const std::size_t cap : {5u, 25u, 60u}) {
+    for (const bool with_sink : {false, true}) {
+      LocMPSOptions opt;
+      opt.max_locbs_calls = cap;
+      const SchedulerResult r =
+          test::run_locmps_capture(g, c, opt, with_sink).result;
+      EXPECT_LE(r.iterations, cap + 2u) << "cap " << cap;
+      EXPECT_EQ(r.schedule.validate(g, CommModel(c)), "") << "cap " << cap;
+    }
+  }
 }
 
 TEST(LocMPS, NamesReflectOptions) {

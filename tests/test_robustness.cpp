@@ -18,7 +18,6 @@
 #include "schedulers/loc_mps.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
-#include "workloads/strassen.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace locmps {
@@ -233,8 +232,7 @@ struct StragglerRun {
 
 StragglerRun run_stragglers(const TaskGraph& g, const Cluster& c,
                             const PerturbationPlan& perturb,
-                            StragglerMitigation mitigation,
-                            std::size_t threads = 1) {
+                            StragglerMitigation mitigation) {
   std::ostringstream jsonl;
   CollectingSink collect;
   obs::MetricsRegistry met;
@@ -245,7 +243,6 @@ StragglerRun run_stragglers(const TaskGraph& g, const Cluster& c,
   opt.perturb = &perturb;
   opt.straggler_threshold = 1.5;
   opt.straggler_mitigation = mitigation;
-  opt.planner.threads = threads;
   opt.obs = &ctx;
   StragglerRun out;
   out.result = run_with_faults(g, c, FaultPlan(c.processors), opt);
@@ -314,48 +311,6 @@ TEST(Straggler, MitigationAccountingReconcilesAcrossAllThreeBooks) {
     // The recovered execution is complete and the realized makespan covers
     // the clean plan (slowdowns only ever delay a work-conserving replay).
     EXPECT_GE(res.makespan, res.planned_makespan - 1e-9);
-  }
-}
-
-TEST(Straggler, MitigatedRunIsBitIdenticalAcrossThreadCounts) {
-  // The planner's speculative probe fan-out must not leak into the
-  // recovery loop: threads 1, 2 and 8 plan, detect, mitigate and replay
-  // identically (the determinism contract of docs/parallelism.md extended
-  // to the performance-fault path).
-  StrassenParams sp;
-  sp.levels = 2;
-  const TaskGraph graphs[] = {workload(6), make_strassen(sp)};
-  for (const TaskGraph& g : graphs) {
-    const Cluster c(8);
-    const PerturbationPlan perturb = stragglers_for(g, c, 23);
-    for (const StragglerMitigation mit :
-         {StragglerMitigation::kSpeculate, StragglerMitigation::kReplan}) {
-      const StragglerRun base = run_stragglers(g, c, perturb, mit, 1);
-      ASSERT_TRUE(base.result.completed) << base.result.error;
-      for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-        const StragglerRun r = run_stragglers(g, c, perturb, mit, threads);
-        EXPECT_EQ(r.result.makespan, base.result.makespan)
-            << "threads=" << threads;
-        EXPECT_EQ(r.result.stragglers, base.result.stragglers);
-        EXPECT_EQ(r.result.speculations, base.result.speculations);
-        EXPECT_EQ(r.result.straggler_replans,
-                  base.result.straggler_replans);
-        EXPECT_EQ(r.result.mitigation_wasted_seconds,
-                  base.result.mitigation_wasted_seconds);
-        for (TaskId t = 0; t < g.num_tasks(); ++t) {
-          EXPECT_EQ(r.result.executed.at(t).start,
-                    base.result.executed.at(t).start);
-          EXPECT_EQ(r.result.executed.at(t).finish,
-                    base.result.executed.at(t).finish);
-          EXPECT_EQ(r.result.executed.at(t).procs,
-                    base.result.executed.at(t).procs);
-        }
-        ASSERT_EQ(r.trace.size(), base.trace.size()) << "threads=" << threads;
-        for (std::size_t i = 0; i < r.trace.size(); ++i)
-          ASSERT_EQ(r.trace[i], base.trace[i])
-              << "trace diverges at line " << i << " with threads=" << threads;
-      }
-    }
   }
 }
 

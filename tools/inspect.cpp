@@ -68,10 +68,6 @@ void usage(std::ostream& os) {
         "  --no-overlap           communication blocks computation\n"
         "  --scheme <name>        scheduler registry name (default "
         "loc-mps)\n"
-        "  --threads <n>          speculative LoCBS probe threads (0 = one\n"
-        "                         per hardware thread; default 1). Any\n"
-        "                         setting yields the identical schedule —\n"
-        "                         see docs/parallelism.md\n"
         "\n"
         "Fault injection (uses the loc-mps planner, ignoring --scheme):\n"
         "  --fault-rate <x>       fraction of processors that fail-stop\n"
@@ -154,7 +150,6 @@ struct Options {
   double bandwidth_mbps = 100.0;
   bool overlap = true;
   std::string scheme = "loc-mps";
-  std::size_t threads = 1;
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 7;
   bool fault_repair = false;
@@ -219,9 +214,6 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (a == "--scheme") {
       if ((v = need(i, "--scheme")) == nullptr) return std::nullopt;
       o.scheme = v;
-    } else if (a == "--threads") {
-      if ((v = need(i, "--threads")) == nullptr) return std::nullopt;
-      o.threads = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
     } else if (a == "--fault-rate") {
       if ((v = need(i, "--fault-rate")) == nullptr) return std::nullopt;
       o.fault_rate = std::strtod(v, nullptr);
@@ -449,12 +441,12 @@ bool join_and_reconcile(SchemeRun& run, const std::string& trace_path,
   return ok;
 }
 
-/// `--robustness N`: plans once (honoring --scheme, --threads and
-/// --slack), then replays the schedule through N seeded perturbation
-/// ensembles and reports the makespan distribution. With --obs-out the
-/// "robust.*" accounting is reconciled across its three books: the
-/// metrics counters, the trace events and the RobustnessReport. Returns
-/// the process exit code.
+/// `--robustness N`: plans once (honoring --scheme and --slack), then
+/// replays the schedule through N seeded perturbation ensembles and
+/// reports the makespan distribution. With --obs-out the "robust.*"
+/// accounting is reconciled across its three books: the metrics
+/// counters, the trace events and the RobustnessReport. Returns the
+/// process exit code.
 int run_robustness_mode(const Options& o, const TaskGraph& g,
                         const Cluster& cluster) {
   const CommModel comm(cluster);
@@ -474,7 +466,6 @@ int run_robustness_mode(const Options& o, const TaskGraph& g,
   }
 
   SchedulerOptions sched_opt;
-  sched_opt.threads = o.threads;
   sched_opt.slack_factor = o.slack;
   const SchedulerPtr sched = make_scheduler(o.scheme, sched_opt);
   const SchedulerResult plan = sched->schedule(g, cluster);
@@ -892,7 +883,6 @@ int main(int argc, char** argv) {
     if (o.fault_rate > 0.0) return run_fault_mode(o, g, cluster);
 
     SchedulerOptions sched_opt;
-    sched_opt.threads = o.threads;
     sched_opt.perturb_task = o.perturb_task;
     sched_opt.slack_factor = o.slack;
     const bool want_profile = o.profile || !o.flame_out.empty() ||
