@@ -1,7 +1,8 @@
 #pragma once
 /// \file incremental.hpp
 /// Incremental-replanning state shared by the LoCBS evaluations of one
-/// refinement stream (docs/incremental.md).
+/// refinement stream: the replay records of recent evaluations
+/// (docs/incremental.md).
 ///
 /// The LoC-MPS refinement loop evaluates hundreds of allocations that
 /// differ from an earlier one by a single widened task. LoCBS is a
@@ -11,7 +12,9 @@
 /// weights, pseudo-edges, even the per-placement counters — is provably
 /// identical, and the recorded step can be replayed without re-scanning a
 /// single hole. The first divergent pick marks the start of the dirty
-/// region; from there the scan runs in full. The from-scratch path
+/// region; from there the scan runs in full. Every pass still computes
+/// its priorities in full and runs every argmax itself: replay skips only
+/// the hole scans of the verified prefix. The from-scratch path
 /// (LocMPSOptions::incremental = false) never consults this context and
 /// serves as the differential-equivalence oracle (tests/test_incremental).
 ///
@@ -59,38 +62,15 @@ struct ReplayStep {
   double cost_evals = 0.0;  ///< comm.cost_evals delta of this placement
 };
 
-/// A full recorded LoCBS evaluation: the allocation it ran under, the
-/// static priorities it computed (so a later evaluation can prove which
-/// argmax picks cannot have changed), and its placement steps in commit
-/// order (frozen-prefix tasks excluded — the prefix is constant across a
-/// stream).
+/// A full recorded LoCBS evaluation: the allocation it ran under and its
+/// placement steps in commit order (frozen-prefix tasks excluded — the
+/// prefix is constant across a stream).
 struct ReplayRecord {
   Allocation np;
-  std::shared_ptr<const std::vector<double>> prio;
   std::vector<std::shared_ptr<const ReplayStep>> steps;
 };
 
-/// Dirty-region cache of the allocation-dependent LoCBS arrays (execution
-/// times, edge costs, bottom levels, priorities). Successive evaluations
-/// of a stream differ in a handful of np entries, so only the tasks and
-/// edges in the changed region — and the ancestors their bottom levels
-/// propagate to — are recomputed. Every recompute uses the exact
-/// arithmetic of the from-scratch pass, and untouched entries are
-/// by-induction bit-identical to what a full recompute would produce, so
-/// the cached arrays are indistinguishable from freshly computed ones.
-struct PriorityState {
-  bool valid = false;
-  Allocation np;
-  std::vector<double> et;      ///< slack-inflated execution times
-  std::vector<double> west;    ///< allocation-stage edge costs
-  std::vector<double> bottom;  ///< bottom levels under (et, west)
-  std::vector<double> prio;    ///< bottom + max in-edge cost
-  std::vector<TaskId> order;   ///< topological order (graph-constant)
-  // Per-call scratch (sized once, cleared per update).
-  std::vector<char> et_changed, bottom_changed, prio_dirty, edge_seen;
-};
-
-/// Replay/memo state of one evaluation stream. Not thread-safe by design;
+/// Replay records of one evaluation stream. Not thread-safe by design;
 /// see the file comment.
 class IncrementalContext {
  public:
@@ -99,9 +79,6 @@ class IncrementalContext {
   /// walk replay against the incumbent realization as well as its own
   /// previous step.
   static constexpr std::size_t kMaxRecords = 8;
-
-  /// Dirty-region cache of the allocation-dependent arrays.
-  PriorityState prio_state;
 
   /// The record with the longest np-compatible step prefix for \p np, or
   /// null when no record matches even its first step. The estimate only

@@ -42,129 +42,6 @@ struct Candidate {
   std::vector<ProcId> procs;      ///< ascending
 };
 
-/// Brings \p ps up to date for \p np: execution times, allocation-stage
-/// edge costs, bottom levels, and the static priority bottomL(t) + max
-/// incoming edge weight (Alg. 2 step 4). A fresh state is computed in
-/// full; a valid one is updated via the dirty region of the np diff —
-/// only changed tasks, their incident edges, and the ancestors their
-/// bottom levels propagate to are recomputed, with the exact arithmetic
-/// of the full pass, so the arrays stay bit-identical to a from-scratch
-/// computation (docs/incremental.md). Elided edge-cost evaluations are
-/// credited to the comm model's evaluation counter so "comm.cost_evals"
-/// matches the reference run.
-void update_priority_state(const TaskGraph& g, const Allocation& np,
-                           const CommModel& comm, const LocBSOptions& opt,
-                           PriorityState& ps, obs::ObsContext* obs) {
-  const std::size_t n = g.num_tasks();
-  const std::size_t ne = g.num_edges();
-  if (!ps.valid || ps.np.size() != n || ps.west.size() != ne) {
-    {
-      LOCMPS_SPAN(obs, "locbs.edge_costs");
-      ps.et.resize(n);
-      ps.west.assign(ne, 0.0);
-      // slack_factor > 1 books reservations longer than the profile
-      // predicts (slack-aware placement); every downstream consumer —
-      // priorities, hole feasibility, occupancy, G' vertex times — sees
-      // the inflated model consistently.
-      for (TaskId t = 0; t < n; ++t)
-        ps.et[t] = g.task(t).profile.time(np[t]) * opt.slack_factor;
-      if (!opt.comm_blind)
-        for (EdgeId e = 0; e < ne; ++e)
-          ps.west[e] = comm.edge_cost(g.edge(e).volume_bytes,
-                                      np[g.edge(e).src], np[g.edge(e).dst]);
-    }
-    LOCMPS_SPAN(obs, "locbs.priority");
-    ps.order = topological_order(g);
-    ps.bottom.assign(n, 0.0);
-    for (auto it = ps.order.rbegin(); it != ps.order.rend(); ++it) {
-      const TaskId t = *it;
-      double below = 0.0;
-      for (EdgeId e : g.out_edges(t))
-        below = std::max(below, ps.west[e] + ps.bottom[g.edge(e).dst]);
-      ps.bottom[t] = ps.et[t] + below;
-    }
-    ps.prio.resize(n);
-    for (TaskId t = 0; t < n; ++t) {
-      double max_in = 0.0;
-      for (EdgeId e : g.in_edges(t)) max_in = std::max(max_in, ps.west[e]);
-      ps.prio[t] = ps.bottom[t] + max_in;
-    }
-    ps.np = np;
-    ps.valid = true;
-    return;
-  }
-
-  LOCMPS_SPAN(obs, "locbs.priority");
-  ps.et_changed.assign(n, 0);
-  ps.bottom_changed.assign(n, 0);
-  ps.prio_dirty.assign(n, 0);
-  ps.edge_seen.assign(ne, 0);
-  std::size_t recomputed_edges = 0;
-  // An edge cost depends on both endpoint widths; recompute each incident
-  // edge once. A changed cost dirties the source's bottom level (west
-  // feeds its out-edge max) and the destination's priority (west feeds
-  // its in-edge max).
-  auto recompute_edge = [&](EdgeId e) {
-    if (ps.edge_seen[e]) return;
-    ps.edge_seen[e] = 1;
-    ++recomputed_edges;
-    const Edge& ed = g.edge(e);
-    const double w = comm.edge_cost(ed.volume_bytes, np[ed.src], np[ed.dst]);
-    if (w != ps.west[e]) {  // LINT-ALLOW(float-eq)
-      ps.west[e] = w;
-      ps.et_changed[ed.src] = 1;  // bottom input changed
-      ps.prio_dirty[ed.dst] = 1;
-    }
-  };
-  for (TaskId t = 0; t < n; ++t) {
-    if (ps.np[t] == np[t]) continue;
-    const double v = g.task(t).profile.time(np[t]) * opt.slack_factor;
-    if (v != ps.et[t]) ps.et_changed[t] = 1;  // LINT-ALLOW(float-eq)
-    ps.et[t] = v;
-    if (!opt.comm_blind) {
-      for (EdgeId e : g.in_edges(t)) recompute_edge(e);
-      for (EdgeId e : g.out_edges(t)) recompute_edge(e);
-    }
-  }
-  // Bottom levels: one reverse-topological walk recomputing exactly the
-  // tasks whose inputs changed; propagation stops where the recomputed
-  // value is bit-identical to the cached one.
-  for (auto it = ps.order.rbegin(); it != ps.order.rend(); ++it) {
-    const TaskId t = *it;
-    bool need = ps.et_changed[t] != 0;
-    if (!need) {
-      for (EdgeId e : g.out_edges(t)) {
-        if (ps.bottom_changed[g.edge(e).dst]) {
-          need = true;
-          break;
-        }
-      }
-    }
-    if (!need) continue;
-    double below = 0.0;
-    for (EdgeId e : g.out_edges(t))
-      below = std::max(below, ps.west[e] + ps.bottom[g.edge(e).dst]);
-    const double nb = ps.et[t] + below;
-    if (nb != ps.bottom[t]) {  // LINT-ALLOW(float-eq)
-      ps.bottom[t] = nb;
-      ps.bottom_changed[t] = 1;
-      ps.prio_dirty[t] = 1;
-    }
-  }
-  for (TaskId t = 0; t < n; ++t) {
-    if (!ps.prio_dirty[t]) continue;
-    double max_in = 0.0;
-    for (EdgeId e : g.in_edges(t)) max_in = std::max(max_in, ps.west[e]);
-    ps.prio[t] = ps.bottom[t] + max_in;
-  }
-  // The reference pass evaluates every edge cost through the comm model;
-  // credit the elided evaluations so the counter stays bit-identical
-  // (tests/test_incremental.cpp checks "comm.cost_evals").
-  if (!opt.comm_blind && comm.evals_cell() != nullptr)
-    *comm.evals_cell() += static_cast<double>(ne - recomputed_edges);
-  ps.np = np;
-}
-
 }  // namespace
 
 LocBSResult locbs(const TaskGraph& g, const Allocation& np,
@@ -202,16 +79,44 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
 
   const bool overlap = comm.overlap();
 
-  // Allocation-dependent arrays: execution times, edge costs, bottom
-  // levels, and the static priority bottomL(t) + max incoming edge weight
-  // (Alg. 2 step 4). The from-scratch path computes them in full into a
-  // local state; a stream updates its cached state via the dirty region
-  // of the np diff — bit-identical either way (update_priority_state).
-  PriorityState local_ps;
-  PriorityState& ps = incr != nullptr ? incr->prio_state : local_ps;
-  update_priority_state(g, np, comm, opt, ps, obs);
-  const std::vector<double>& et = ps.et;
-  const std::vector<double>& prio = ps.prio;
+  // Allocation-dependent arrays (Alg. 2 step 4): execution times,
+  // allocation-stage edge costs, bottom levels, and the static priority
+  // bottomL(t) + max incoming edge weight.
+  const std::size_t ne = g.num_edges();
+  std::vector<double> et, west, prio;
+  {
+    LOCMPS_SPAN(obs, "locbs.edge_costs");
+    et.resize(n);
+    west.assign(ne, 0.0);
+    // slack_factor > 1 books reservations longer than the profile
+    // predicts (slack-aware placement); every downstream consumer —
+    // priorities, hole feasibility, occupancy, G' vertex times — sees
+    // the inflated model consistently.
+    for (TaskId t = 0; t < n; ++t)
+      et[t] = g.task(t).profile.time(np[t]) * opt.slack_factor;
+    if (!opt.comm_blind)
+      for (EdgeId e = 0; e < ne; ++e)
+        west[e] = comm.edge_cost(g.edge(e).volume_bytes, np[g.edge(e).src],
+                                 np[g.edge(e).dst]);
+  }
+  {
+    LOCMPS_SPAN(obs, "locbs.priority");
+    const std::vector<TaskId> order = topological_order(g);
+    std::vector<double> bottom(n, 0.0);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const TaskId t = *it;
+      double below = 0.0;
+      for (EdgeId e : g.out_edges(t))
+        below = std::max(below, west[e] + bottom[g.edge(e).dst]);
+      bottom[t] = et[t] + below;
+    }
+    prio.resize(n);
+    for (TaskId t = 0; t < n; ++t) {
+      double max_in = 0.0;
+      for (EdgeId e : g.in_edges(t)) max_in = std::max(max_in, west[e]);
+      prio[t] = bottom[t] + max_in;
+    }
+  }
 
   Timeline timeline(P);
   LocBSResult res{Schedule(n, P), ScheduleDag(g), 0.0};
@@ -279,23 +184,6 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
     newrec.np = np;
     newrec.steps.reserve(n - n_frozen);
   }
-  // Dirty-pick mask against the chosen record: while every ready task's
-  // priority is bit-identical to what the record computed and every pick
-  // so far matched it, the live argmax sees the same candidate set with
-  // the same keys and tie-break, so it provably returns the recorded pick
-  // and the O(|ready|) scan is skipped outright.
-  std::vector<char> pick_dirty;
-  std::size_t ready_dirty = 0;
-  if (rec != nullptr) {
-    pick_dirty.assign(n, 1);
-    if (rec->prio != nullptr && rec->prio->size() == n) {
-      const std::vector<double>& rp = *rec->prio;
-      for (TaskId t = 0; t < n; ++t)
-        pick_dirty[t] = rp[t] != prio[t] ? 1 : 0;  // LINT-ALLOW(float-eq)
-    }
-    for (TaskId t : ready) ready_dirty += pick_dirty[t];
-  }
-
   // Per-placement counter cells, resolved once per pass instead of ~8
   // string-keyed registry lookups per placement (cell addresses are
   // stable; obs/metrics.hpp). Resolving creates the counters at zero, so
@@ -338,6 +226,7 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   sel.reserve(P);
   std::vector<Timeline::FreeProc> avail_scratch;
   Timeline::Sweep sweep(timeline);
+  std::vector<double> latest_free;  // no-backfill probe instants
   obs::ShortlistRecorder shortlist;
   // Candidate buffers reused across placements (their proc vectors keep
   // their capacity; the per-task reset is finish = kInf).
@@ -347,41 +236,17 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   std::vector<Candidate> shadows;
   std::vector<char> is_parent(n, 0);
 
-  // Block-cyclic remote fraction, always computed directly: the fraction
-  // is O(|src| + |dst|) with a tiny constant, so any hash-keyed memo of it
-  // costs more per lookup than the computation it would skip (measured
-  // ~6x; docs/incremental.md).
-  auto rfrac = [&](const std::vector<ProcId>& src,
-                   const std::vector<ProcId>& dst) {
-    return remote_fraction(src, dst);
-  };
-
   for (std::size_t scheduled = n_frozen; scheduled < n; ++scheduled) {
-    TaskId tp;
-    if (replay_live && ready_dirty == 0 && ri < rec->steps.size()) {
-      // Clean window: no ready task's priority differs from the record's
-      // and every pick so far matched it, so the ready sets are identical
-      // and the argmax below would return exactly the recorded pick.
-      tp = rec->steps[ri]->task;
-      std::size_t i = 0;
-      const std::size_t m = ready.size();
-      while (i < m && ready[i] != tp) ++i;
-      if (i == m) throw std::logic_error("locbs: replay pick not ready");
-      ready[i] = ready.back();
-      ready.pop_back();
-    } else {
-      // Highest-priority ready task.
-      std::size_t pick = 0;
-      for (std::size_t i = 1; i < ready.size(); ++i) {
-        if (prio[ready[i]] > prio[ready[pick]] ||
-            (prio[ready[i]] == prio[ready[pick]] && ready[i] < ready[pick]))
-          pick = i;
-      }
-      tp = ready[pick];
-      ready[pick] = ready.back();
-      ready.pop_back();
-      if (replay_live) ready_dirty -= pick_dirty[tp];
+    // Highest-priority ready task.
+    std::size_t pick = 0;
+    for (std::size_t i = 1; i < ready.size(); ++i) {
+      if (prio[ready[i]] > prio[ready[pick]] ||
+          (prio[ready[i]] == prio[ready[pick]] && ready[i] < ready[pick]))
+        pick = i;
     }
+    const TaskId tp = ready[pick];
+    ready[pick] = ready.back();
+    ready.pop_back();
 
     const std::size_t need = np[tp];
     const double exec = et[tp];
@@ -422,13 +287,8 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
         }
         newrec.steps.push_back(rec->steps[ri - 1]);
         ++replayed_tasks;
-        for (EdgeId e : g.out_edges(tp)) {
-          const TaskId dst = g.edge(e).dst;
-          if (--waiting[dst] == 0) {
-            ready.push_back(dst);
-            ready_dirty += pick_dirty[dst];
-          }
-        }
+        for (EdgeId e : g.out_edges(tp))
+          if (--waiting[g.edge(e).dst] == 0) ready.push_back(g.edge(e).dst);
         continue;
       }
       replay_live = false;  // first divergence: scan the dirty remainder
@@ -478,8 +338,9 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
       for (std::size_t k = 0; k < comm_edges.size(); ++k) {
         const Edge& ed = g.edge(comm_edges[k]);
         const double rv =
-            opt.locality ? ed.volume_bytes * rfrac(placed[ed.src], procs)
-                         : ed.volume_bytes;
+            opt.locality
+                ? ed.volume_bytes * remote_fraction(placed[ed.src], procs)
+                : ed.volume_bytes;
         c.rvol[k] = rv;
         c.durs[k] =
             comm.transfer_duration(rv, placed[ed.src].size(), need);
@@ -572,8 +433,9 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
       for (EdgeId e : comm_edges) {
         const Edge& ed = g.edge(e);
         pc.remote_bytes +=
-            opt.locality ? ed.volume_bytes * rfrac(placed[ed.src], c.procs)
-                         : ed.volume_bytes;
+            opt.locality
+                ? ed.volume_bytes * remote_fraction(placed[ed.src], c.procs)
+                : ed.volume_bytes;
       }
       for (ProcId q : c.procs) pc.locality_score += score[q];
       pc.procs = c.procs;
@@ -705,55 +567,52 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
     std::size_t extension = 0;
 
     LOCMPS_SPAN(obs, "locbs.place");
-    if (opt.backfill) {
+    {
       LOCMPS_SPAN(obs, "locbs.hole_scan");
-      // Probe instants ascend (est0, then every later finish event), so
-      // the sweep cursor answers each availability query in amortized
-      // O(1) per processor; the event list is walked in place instead of
-      // being materialized per task. It is only mutated at commit, after
-      // the scan, so the iterator stays valid throughout.
-      auto next_ev =
-          std::upper_bound(finish_events.begin(), finish_events.end(), est0);
+      // Probe instants ascend. Backfill probes est0, then every later
+      // finish event, walking the event list in place (it is only mutated
+      // at commit, after the scan, so the iterator stays valid); the sweep
+      // cursor answers each availability query in amortized O(1) per
+      // processor. The no-backfill variant (Fig 6) probes only the
+      // processors' latest free times and ignores holes earlier in the
+      // chart: a processor is available from its latest free time on.
+      std::vector<double>::const_iterator next_tau, end_tau;
       double tau = est0;
-      for (;;) {
-        sweep.available_at(tau, avail_scratch);
-        probe(tau, avail_scratch);
-        if (next_ev == finish_events.end()) break;
-        // Monotone pruning: any later hole acquires processors at
-        // >= *next_ev, and no subset beats the arrival lower bound.
-        if (best.finish < kInf && best.finish <= finish_lb(*next_ev)) {
-          scan_pruned = true;
-          if (!want_second || second.finish < kInf ||
-              ++extension > kProvExtension)
-            break;
-        }
-        tau = *next_ev;
-        ++next_ev;
-      }
-    } else {
-      // No-backfill variant (Fig 6): only the latest free time of each
-      // processor is consulted; holes earlier in the chart are ignored.
-      LOCMPS_SPAN(obs, "locbs.hole_scan");
-      std::vector<double> taus;
-      taus.reserve(P);
-      for (ProcId q = 0; q < P; ++q)
-        taus.push_back(std::max(est0, timeline.latest_free_time(q)));
-      std::sort(taus.begin(), taus.end(), total_less);
-      taus.erase(std::unique(taus.begin(), taus.end()), taus.end());
-      for (std::size_t i = 0; i < taus.size(); ++i) {
-        const double tau = taus[i];
-        std::vector<Timeline::FreeProc> avail;
+      if (opt.backfill) {
+        next_tau =
+            std::upper_bound(finish_events.begin(), finish_events.end(), est0);
+        end_tau = finish_events.end();
+      } else {
+        latest_free.clear();
         for (ProcId q = 0; q < P; ++q)
-          if (timeline.latest_free_time(q) <= tau)
-            avail.push_back(Timeline::FreeProc{q, kForever});
-        probe(tau, avail);
-        if (best.finish < kInf && i + 1 < taus.size() &&
-            best.finish <= finish_lb(taus[i + 1])) {
+          latest_free.push_back(std::max(est0, timeline.latest_free_time(q)));
+        std::sort(latest_free.begin(), latest_free.end(), total_less);
+        latest_free.erase(std::unique(latest_free.begin(), latest_free.end()),
+                          latest_free.end());
+        tau = latest_free.front();
+        next_tau = latest_free.begin() + 1;
+        end_tau = latest_free.end();
+      }
+      for (;;) {
+        if (opt.backfill) {
+          sweep.available_at(tau, avail_scratch);
+        } else {
+          avail_scratch.clear();
+          for (ProcId q = 0; q < P; ++q)
+            if (timeline.latest_free_time(q) <= tau)
+              avail_scratch.push_back(Timeline::FreeProc{q, kForever});
+        }
+        probe(tau, avail_scratch);
+        if (next_tau == end_tau) break;
+        // Monotone pruning: any later hole acquires processors at
+        // >= *next_tau, and no subset beats the arrival lower bound.
+        if (best.finish < kInf && best.finish <= finish_lb(*next_tau)) {
           scan_pruned = true;
           if (!want_second || second.finish < kInf ||
               ++extension > kProvExtension)
             break;
         }
+        tau = *next_tau++;
       }
     }
 
@@ -941,7 +800,6 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
       met->add("incr.replayed_tasks", static_cast<double>(replayed_tasks));
       if (replayed_tasks == 0) met->add("incr.full_rebuilds");
     }
-    newrec.prio = std::make_shared<const std::vector<double>>(prio);
     incr->remember(std::move(newrec));
   }
 

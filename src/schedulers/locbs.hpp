@@ -115,9 +115,11 @@ struct FixedPrefix {
 ///
 /// \p incr (optional) is the incremental-replanning context of the
 /// caller's evaluation stream (schedulers/incremental.hpp,
-/// docs/incremental.md): the pass replays the longest placement prefix
-/// that provably matches a recorded earlier evaluation, scans only the
-/// dirty remainder, and records itself for future replays. The result — schedule, G', counters — is
+/// docs/incremental.md): the pass picks the recorded earlier evaluation
+/// whose processor counts match longest, commits that record's placements
+/// verbatim for as long as the live priority argmax picks the recorded
+/// task with the recorded np, scans only the remainder, and records
+/// itself for future replays. The result — schedule, G', counters — is
 /// bit-identical to incr == nullptr (the from-scratch oracle path); only
 /// the digest-excluded `incr.*` counters reveal which path ran.
 LocBSResult locbs(const TaskGraph& g, const Allocation& np,

@@ -36,10 +36,9 @@ struct SchedulerOptions {
   TaskId perturb_task = kNoTask;
 
   /// Incremental replanning (docs/incremental.md): LoC-MPS-backed schemes
-  /// replay the unchanged prefix of each refinement-round LoCBS evaluation
-  /// from the previous round instead of re-scanning every task, update
-  /// priorities over the dirty region only, and serve repeated allocations
-  /// from the evaluation memo. Results are bit-identical to the
+  /// replay the verified placement prefix of each LoCBS evaluation from a
+  /// recorded earlier one instead of re-scanning every task. Results are
+  /// bit-identical to the
   /// from-scratch path (the differential oracle of tests/test_incremental);
   /// false forces the from-scratch reference. Ignored by schemes without
   /// LoCBS.

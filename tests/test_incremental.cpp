@@ -2,8 +2,8 @@
 /// (schedulers/incremental.hpp, docs/incremental.md).
 ///
 /// The contract: LoC-MPS with `incremental = true` — prefix replay of
-/// recorded LoCBS evaluations and dirty-region priority updates — must be
-/// observably identical to the from-scratch reference on every workload:
+/// recorded LoCBS evaluations, continued while each live priority pick
+/// matches the record — must be observably identical to the from-scratch reference on every workload:
 /// same placements, same makespan, same counters (outside the
 /// digest-excluded incr.* family), same sample-series values, same
 /// decision-event stream when traced, and the same post-mortem analysis.
@@ -38,10 +38,12 @@ using test::RunCapture;
 namespace {
 
 RunCapture run(const TaskGraph& g, const Cluster& cluster, bool incremental,
-               bool with_sink, std::size_t max_locbs_calls = 100000) {
+               bool with_sink, std::size_t max_locbs_calls = 100000,
+               const LocBSOptions& locbs = {}) {
   LocMPSOptions opt;
   opt.incremental = incremental;
   opt.max_locbs_calls = max_locbs_calls;
+  opt.locbs = locbs;
   return test::run_locmps_capture(g, cluster, opt, with_sink);
 }
 
@@ -94,6 +96,29 @@ TEST(IncrementalOracle, MetricsOnlyRunsAreBitIdentical) {
     const RunCapture on = run(g, cluster, true, false, cap);
     DifferentialChecker(g).expect_identical(
         off, on, "budget=" + std::to_string(cap));
+  }
+  // LoCBS variants: comm-blind priorities (iCASLB), the no-backfill hole
+  // scan (LoC-MPS-nbf), slack-inflated reservations, and a platform where
+  // redistributions occupy the destination processors (no overlap).
+  LocBSOptions blind;
+  blind.comm_blind = true;
+  LocBSOptions nbf;
+  nbf.backfill = false;
+  LocBSOptions slack;
+  slack.slack_factor = 1.25;
+  const Cluster no_overlap(16, kFastEthernetBytesPerSec, /*overlap=*/false);
+  const struct {
+    const char* label;
+    const Cluster& cluster;
+    LocBSOptions locbs;
+  } variants[] = {{"comm_blind", cluster, blind},
+                  {"no backfill", cluster, nbf},
+                  {"slack=1.25", cluster, slack},
+                  {"no overlap", no_overlap, {}}};
+  for (const auto& v : variants) {
+    const RunCapture off = run(g, v.cluster, false, false, 100000, v.locbs);
+    const RunCapture on = run(g, v.cluster, true, false, 100000, v.locbs);
+    DifferentialChecker(g).expect_identical(off, on, v.label);
   }
 }
 

@@ -361,7 +361,7 @@ TEST(SelfProfileDeterminism, AllocBytesReproducibleAtFixedThreadCount) {
   expect_same_allocs(a.root, b.root, "repeat");
 }
 
-TEST(SelfProfileDeterminism, WallAndCpuTimesAreSaneAcrossThreads) {
+TEST(SelfProfileDeterminism, WallAndCpuTimesAreSane) {
   SyntheticParams p;
   p.max_procs = 16;
   Rng rng(20060901);

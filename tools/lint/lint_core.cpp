@@ -416,7 +416,9 @@ class Linter {
 
   // raw-mutex: naked std synchronization primitives carry no Clang
   // thread-safety annotations, so lock/unlock discipline on them is
-  // invisible to -Wthread-safety. Use the annotated wrappers.
+  // invisible to -Wthread-safety. Locking belongs in an annotated wrapper
+  // in util/annotations.hpp; none exists yet, the first locking user adds
+  // one.
   void raw_sync() {
     static const std::set<std::string> kBanned = {
         "mutex", "recursive_mutex", "shared_mutex", "timed_mutex",
@@ -429,8 +431,9 @@ class Linter {
       if (!std_qualified(t, i)) continue;
       add(t[i].line, "raw-mutex",
           "std::" + t[i].text +
-              " is invisible to Clang thread-safety analysis; use "
-              "locmps::Mutex / MutexLock / CondVar from util/annotations.hpp");
+              " is invisible to Clang thread-safety analysis; lock through "
+              "an annotated wrapper in util/annotations.hpp (none exists "
+              "yet: add one with the first locking user)");
     }
   }
 

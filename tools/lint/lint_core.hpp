@@ -48,7 +48,8 @@ struct Options {
 ///  * only src/ counts as scheduler/sim decision paths for the
 ///    unordered-iteration rule;
 ///  * src/util/annotations.hpp is the one place allowed to name the raw
-///    std synchronization primitives it wraps.
+///    std synchronization primitives, for the annotated wrapper that the
+///    first locking user adds there.
 Options options_for(std::string_view path);
 
 /// True for paths the driver should skip entirely (the deliberately bad
