@@ -14,13 +14,16 @@
 /// single hole. The first divergent pick marks the start of the dirty
 /// region; from there the scan runs in full. Every pass still computes
 /// its priorities in full and runs every argmax itself: replay skips only
-/// the hole scans of the verified prefix. The from-scratch path
-/// (LocMPSOptions::incremental = false) never consults this context and
-/// serves as the differential-equivalence oracle (tests/test_incremental).
+/// the hole scans of the verified prefix. Scanned and replayed placements
+/// are committed by the same code from a ReplayStep, so counters, events
+/// and spans see one path whether or not an instrument is attached. The
+/// from-scratch path (LocMPSOptions::incremental = false) never consults
+/// this context and serves as the differential-equivalence oracle
+/// (tests/test_incremental).
 ///
-/// One IncrementalContext serves one evaluation stream (one LoC-MPS run
-/// owns one), so no locking is needed and replay decisions stay
-/// bit-deterministic.
+/// One IncrementalContext serves one evaluation stream under one
+/// ObsContext (one LoC-MPS run owns one), so no locking is needed and
+/// replay decisions stay bit-deterministic.
 
 #include <cstdint>
 #include <memory>
@@ -29,17 +32,19 @@
 
 #include "cluster/processor_set.hpp"
 #include "graph/task_graph.hpp"
+#include "obs/provenance.hpp"
 #include "schedule/schedule_dag.hpp"
 #include "schedulers/scheduler.hpp"
 
 namespace locmps {
 
-/// One committed placement of a recorded LoCBS pass: everything the
-/// commit wrote (schedule, timeline, G' weights, pseudo-edges) plus the
-/// per-placement telemetry the scan produced, so a replayed step leaves
-/// counters bit-identical to a re-scan. Steps are immutable once recorded
-/// and shared between successive records by pointer, so replaying a long
-/// prefix costs one refcount bump per step instead of a deep copy.
+/// One placement of a LoCBS pass, as the hole scan chose it: everything
+/// the commit writes (schedule, timeline, G' weights, pseudo-edges) plus
+/// the per-placement telemetry and provenance the scan produced, so a
+/// replayed step leaves counters and events bit-identical to a re-scan.
+/// Steps are immutable once recorded and shared between successive
+/// records by pointer, so replaying a long prefix costs one refcount bump
+/// per step instead of a deep copy.
 struct ReplayStep {
   TaskId task = kNoTask;
   std::size_t np = 0;  ///< processor count at record time (validity key)
@@ -60,6 +65,11 @@ struct ReplayStep {
   double local_bytes = 0.0;
   double remote_bytes = 0.0;
   double cost_evals = 0.0;  ///< comm.cost_evals delta of this placement
+  /// Decision provenance, recorded only when an event sink is attached
+  /// (null otherwise, so untraced steps stay small). Its `prio` is left
+  /// unset: bottom levels depend on every task's np, so the commit takes
+  /// the priority from the live pass.
+  std::unique_ptr<obs::PlacementDecision> decision;
 };
 
 /// A full recorded LoCBS evaluation: the allocation it ran under and its

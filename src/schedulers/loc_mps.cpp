@@ -48,7 +48,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   const std::size_t P = cluster.processors;
   obs::ObsContext* const obs = observability();
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::Profiler* const prof = obs::profiler_of(obs);
   obs::ScopedTimer run_timer(met, "locmps.run");
   LOCMPS_SPAN(obs, "locmps.run");
   CommModel comm(cluster);
@@ -93,13 +92,10 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
 
   // Incremental replanning (docs/incremental.md): the refinement stream's
   // LoCBS evaluations replay their unchanged placement prefix from a
-  // recorded earlier evaluation. Stands down when a sink or profiler is
-  // attached — those runs take the from-scratch reference path so traces
-  // and span shapes stay exact (the schedule is identical either way).
-  const bool incr_on =
-      opt_.incremental && !obs::wants_events(obs) && prof == nullptr;
+  // recorded earlier evaluation, traced and profiled runs included.
   IncrementalContext session_incr;
-  IncrementalContext* const sincr = incr_on ? &session_incr : nullptr;
+  IncrementalContext* const sincr =
+      opt_.incremental ? &session_incr : nullptr;
 
   LocBSResult best_run = locbs(g, best_alloc, comm, lopt, fixed, obs, sincr);
   double best_sl = best_run.makespan;
@@ -387,14 +383,12 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
     if (exhausted_now()) break;
   }
 
-  // Final authoritative realization. The refinement loop's last LoCBS
-  // evaluation may belong to a rejected walk, so with a sink attached the
-  // trace's last "locbs.place"/"locbs.decision" records would describe an
-  // allocation that was never committed. Re-realize the final allocation
-  // once so the last record per task is exactly the committed schedule —
-  // rundiff and `--explain` read precisely those. This pass is also where
-  // an armed perturb_task takes effect (and the only place it does).
-  if (perturb != kNoTask || obs::wants_events(obs)) {
+  // The refinement loop's last LoCBS evaluation always realizes
+  // best_alloc, so a trace's last "locbs.place"/"locbs.decision" record
+  // per task is exactly the committed schedule — rundiff and `--explain`
+  // read precisely those. An armed perturb_task takes effect in one extra
+  // final realization (and only there).
+  if (perturb != kNoTask) {
     best_run = locbs(g, best_alloc, comm, opt_.locbs, fixed, obs);
     best_sl = best_run.makespan;
     ++calls;

@@ -51,10 +51,9 @@ struct LocMPSOptions {
   /// every hole. Schedules, counters (minus the digest-excluded
   /// `incr.*` family), and analyses stay bit-identical to the from-scratch
   /// path — tests/test_incremental.cpp enforces this differentially on
-  /// every workload. The machinery stands down automatically when an event
-  /// sink or profiler is attached (those runs take the reference path so
-  /// traces and span shapes stay exact). false = always from-scratch (the
-  /// oracle side of the differential harness).
+  /// every workload, traced runs' decision events included. Attached
+  /// event sinks and profilers watch this same path. false = always
+  /// from-scratch (the oracle side of the differential harness).
   bool incremental = true;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -171,14 +172,13 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   // pick; only the dirty remainder is scanned. The placement scan is a
   // deterministic function of (picked task, its np, the committed prefix
   // state), so a matching pick with a matching processor count guarantees
-  // a bit-identical placement — including its telemetry, which replays
-  // from the recorded values.
+  // a bit-identical placement — including its telemetry and provenance,
+  // which replay from the recorded values.
   const ReplayRecord* rec = incr != nullptr ? incr->pick_record(np) : nullptr;
   std::size_t ri = 0;  // next recorded step to match
   bool replay_live = rec != nullptr;
   ReplayRecord newrec;  // this evaluation, recorded for future replays
   std::size_t replayed_tasks = 0;
-  std::size_t scanned_tasks = 0;
   double* const evals_cell = comm.evals_cell();
   if (incr != nullptr) {
     newrec.np = np;
@@ -235,6 +235,65 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   Candidate cand;
   std::vector<Candidate> shadows;
   std::vector<char> is_parent(n, 0);
+  ReplayStep scratch;  // the scanned step when no record is kept
+  scratch.pset = ProcessorSet(P);
+
+  // Commits one placement (Alg. 2 steps 15-18) — scanned or replayed — to
+  // the chart, the schedule and G', flushes its telemetry and provenance,
+  // and releases its successors.
+  auto commit = [&](const ReplayStep& s) {
+    const TaskId t = s.task;
+    timeline.occupy(s.pset, s.busy_from, s.finish);
+    const auto it =
+        std::lower_bound(finish_events.begin(), finish_events.end(), s.finish);
+    if (it == finish_events.end() || *it != s.finish)
+      finish_events.insert(it, s.finish);
+    res.schedule.place(t, s.busy_from, s.start, s.finish, s.pset);
+    placed[t] = s.procs;
+    ft[t] = s.finish;
+    done[t] = 1;
+    res.dag.set_vertex_time(t, et[t]);
+    for (const auto& [e, w] : s.edge_times) res.dag.set_edge_time(e, w);
+    for (TaskId pd : s.pseudo_preds) res.dag.add_pseudo_edge(pd, t);
+    if (met != nullptr) {
+      *cells.tasks_placed += 1.0;
+      *cells.holes_scanned += static_cast<double>(s.holes_probed);
+      if (s.backfilled) *cells.backfill_hits += 1.0;
+      if (s.pruned) *cells.scan_cutoffs += 1.0;
+      *(s.subset == 0 ? cells.locality_wins : cells.horizon_wins) += 1.0;
+      *cells.local_bytes += s.local_bytes;
+      *cells.remote_bytes += s.remote_bytes;
+    }
+    if (obs::wants_events(obs)) {
+      std::string procs_str;
+      for (ProcId q : s.procs) {
+        if (!procs_str.empty()) procs_str += ',';
+        procs_str += std::to_string(q);
+      }
+      obs->sink->emit(
+          obs::Event("locbs.place")
+              .with("task", t)
+              .with("np", static_cast<std::uint64_t>(s.np))
+              .with("busy_from", s.busy_from)
+              .with("start", s.start)
+              .with("finish", s.finish)
+              .with("holes_scanned", static_cast<std::uint64_t>(s.holes_probed))
+              .with("backfill", s.backfilled)
+              .with("pruned", s.pruned)
+              .with("subset", s.subset == 0 ? "locality" : "horizon")
+              .with("local_bytes", s.local_bytes)
+              .with("remote_bytes", s.remote_bytes)
+              .with("procs", procs_str));
+      // A record made without a sink carries no provenance; one stream
+      // keeps one ObsContext, so a traced replay never meets one.
+      assert(s.decision != nullptr);
+      obs::PlacementDecision d = *s.decision;
+      d.prio = prio[t];  // bottom levels move with every task's np
+      obs->sink->emit(obs::decision_event(d));
+    }
+    for (EdgeId e : g.out_edges(t))
+      if (--waiting[g.edge(e).dst] == 0) ready.push_back(g.edge(e).dst);
+  };
 
   for (std::size_t scheduled = n_frozen; scheduled < n; ++scheduled) {
     // Highest-priority ready task.
@@ -253,42 +312,17 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
 
     // Replay fast path: the live pick and its processor count match the
     // recorded step, so the whole placement — timings, processors, G'
-    // weights, pseudo-edges, telemetry — is provably the one a full scan
-    // would produce. Commit it directly; the step is shared into the new
-    // record by pointer (one refcount bump, no deep copy).
+    // weights, pseudo-edges, telemetry, provenance — is provably the one a
+    // full scan would produce. Commit it directly; the step is shared into
+    // the new record by pointer (one refcount bump, no deep copy).
     if (replay_live) {
       const ReplayStep* rs =
           ri < rec->steps.size() ? rec->steps[ri].get() : nullptr;
       if (rs != nullptr && rs->task == tp && rs->np == need) {
-        ++ri;
-        timeline.occupy(rs->pset, rs->busy_from, rs->finish);
-        {
-          const auto it = std::lower_bound(finish_events.begin(),
-                                           finish_events.end(), rs->finish);
-          if (it == finish_events.end() || *it != rs->finish)
-            finish_events.insert(it, rs->finish);
-        }
-        res.schedule.place(tp, rs->busy_from, rs->start, rs->finish, rs->pset);
-        placed[tp] = rs->procs;
-        ft[tp] = rs->finish;
-        done[tp] = 1;
-        res.dag.set_vertex_time(tp, exec);
-        for (const auto& [e, w] : rs->edge_times) res.dag.set_edge_time(e, w);
-        for (TaskId pd : rs->pseudo_preds) res.dag.add_pseudo_edge(pd, tp);
         if (evals_cell != nullptr) *evals_cell += rs->cost_evals;
-        if (met != nullptr) {
-          *cells.tasks_placed += 1.0;
-          *cells.holes_scanned += static_cast<double>(rs->holes_probed);
-          if (rs->backfilled) *cells.backfill_hits += 1.0;
-          if (rs->pruned) *cells.scan_cutoffs += 1.0;
-          *(rs->subset == 0 ? cells.locality_wins : cells.horizon_wins) += 1.0;
-          *cells.local_bytes += rs->local_bytes;
-          *cells.remote_bytes += rs->remote_bytes;
-        }
-        newrec.steps.push_back(rec->steps[ri - 1]);
+        commit(*rs);
+        newrec.steps.push_back(rec->steps[ri++]);
         ++replayed_tasks;
-        for (EdgeId e : g.out_edges(tp))
-          if (--waiting[g.edge(e).dst] == 0) ready.push_back(g.edge(e).dst);
         continue;
       }
       replay_live = false;  // first divergence: scan the dirty remainder
@@ -641,154 +675,99 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
     // processors strictly earlier was backfilled into a hole.
     const double chart_end = finish_events.empty() ? 0.0 : finish_events.back();
 
-    // Commit the placement.
+    // Record the winner as a step and commit it. The step is a fresh,
+    // shareable record on the incremental path and the reused scratch step
+    // otherwise.
     LOCMPS_SPAN(obs, "locbs.commit");
-    ProcessorSet pset(P);
-    for (ProcId q : best.procs) pset.insert(q);
-    timeline.occupy(pset, best.busy_from, best.finish);
-    {
-      const auto it = std::lower_bound(finish_events.begin(),
-                                       finish_events.end(), best.finish);
-      if (it == finish_events.end() || *it != best.finish)
-        finish_events.insert(it, best.finish);
+    std::shared_ptr<ReplayStep> fresh;
+    if (incr != nullptr) {
+      fresh = std::make_shared<ReplayStep>();
+      fresh->pset = ProcessorSet(P);
     }
-    res.schedule.place(tp, best.busy_from, best.start, best.finish, pset);
-    placed[tp] = best.procs;
-    ft[tp] = best.finish;
-    done[tp] = 1;
+    ReplayStep& step = fresh != nullptr ? *fresh : scratch;
+    step.task = tp;
+    step.np = need;
+    step.busy_from = best.busy_from;
+    step.start = best.start;
+    step.finish = best.finish;
+    step.procs = best.procs;
+    step.pset.clear();
+    for (ProcId q : best.procs) step.pset.insert(q);
+    step.holes_probed = static_cast<std::uint32_t>(holes_probed);
+    step.subset = static_cast<std::uint8_t>(best.subset);
+    step.pruned = scan_pruned;
+    step.backfilled = later_than(chart_end, best.busy_from);
 
-    // Realized weights for the schedule-DAG.
-    res.dag.set_vertex_time(tp, exec);
-    ReplayStep step;  // recorded only when incr != nullptr
+    // Realized G' weights of the in-edges, and the realized redistribution
+    // split: bytes that stay on shared block-cyclic-aligned processors vs.
+    // bytes that cross the network (Section III-B locality saving).
+    step.edge_times.clear();
+    step.local_bytes = 0.0;
+    step.remote_bytes = 0.0;
     if (!comm_edges.empty()) {
       const std::vector<double>& durs = durs_for(best.procs, 3);
+      const std::vector<double>& rvol = durs_cache[3].rvol;
       for (std::size_t k = 0; k < comm_edges.size(); ++k) {
-        res.dag.set_edge_time(comm_edges[k], durs[k]);
-        if (incr != nullptr) step.edge_times.emplace_back(comm_edges[k], durs[k]);
+        step.edge_times.emplace_back(comm_edges[k], durs[k]);
+        step.remote_bytes += rvol[k];
+        step.local_bytes += g.edge(comm_edges[k]).volume_bytes - rvol[k];
       }
     }
+    step.cost_evals = evals_cell != nullptr ? *evals_cell - evals_before : 0.0;
 
     // Pseudo-edges for resource-induced waiting (Alg. 2 steps 17-18): link
-    // every task finishing exactly when we could finally proceed and
+    // every placed task finishing exactly when we could finally proceed and
     // sharing a processor with us.
+    step.pseudo_preds.clear();
     if (best.resource_induced) {
       // Direct parents already impose the dependence; skip them. The
       // shared mask is cleared entry-wise below, not reallocated.
       for (EdgeId e : g.in_edges(tp)) is_parent[g.edge(e).src] = 1;
       for (TaskId ti = 0; ti < n; ++ti) {
-        if (ti == tp || !done[ti] || is_parent[ti]) continue;
+        if (!done[ti] || is_parent[ti]) continue;
         if (about(ft[ti], best.touch) &&
-            res.schedule.at(ti).procs.intersection_count(pset) > 0) {
-          res.dag.add_pseudo_edge(ti, tp);
-          if (incr != nullptr) step.pseudo_preds.push_back(ti);
-        }
+            res.schedule.at(ti).procs.intersection_count(step.pset) > 0)
+          step.pseudo_preds.push_back(ti);
       }
       for (EdgeId e : g.in_edges(tp)) is_parent[g.edge(e).src] = 0;
     }
 
-    // Realized redistribution split for this placement: bytes that stay
-    // on shared block-cyclic-aligned processors vs. bytes that cross
-    // the network (Section III-B locality saving). Needed both for the
-    // telemetry flush and for the replay record.
-    double local_bytes = 0.0, remote_bytes = 0.0;
-    const bool backfilled = later_than(chart_end, best.busy_from);
-    if ((obs != nullptr || incr != nullptr) && !comm_edges.empty()) {
-      // The G'-weights pass above just filled slot 3 for exactly this
-      // subset; its remote volumes are the realized redistribution split.
-      const std::vector<double>& rvol = durs_cache[3].rvol;
-      for (std::size_t k = 0; k < comm_edges.size(); ++k) {
-        remote_bytes += rvol[k];
-        local_bytes += g.edge(comm_edges[k]).volume_bytes - rvol[k];
-      }
-    }
-    if (incr != nullptr) {
-      step.task = tp;
-      step.np = need;
-      step.busy_from = best.busy_from;
-      step.start = best.start;
-      step.finish = best.finish;
-      step.procs = best.procs;
-      step.pset = pset;
-      step.holes_probed = static_cast<std::uint32_t>(holes_probed);
-      step.subset = static_cast<std::uint8_t>(best.subset);
-      step.pruned = scan_pruned;
-      step.backfilled = backfilled;
-      step.local_bytes = local_bytes;
-      step.remote_bytes = remote_bytes;
-      step.cost_evals =
-          evals_cell != nullptr ? *evals_cell - evals_before : 0.0;
-      newrec.steps.push_back(std::make_shared<ReplayStep>(std::move(step)));
-      ++scanned_tasks;
-    }
-
-    if (obs != nullptr) {
-      if (met != nullptr) {
-        *cells.tasks_placed += 1.0;
-        *cells.holes_scanned += static_cast<double>(holes_probed);
-        if (backfilled) *cells.backfill_hits += 1.0;
-        if (scan_pruned) *cells.scan_cutoffs += 1.0;
-        *(best.subset == 0 ? cells.locality_wins : cells.horizon_wins) += 1.0;
-        *cells.local_bytes += local_bytes;
-        *cells.remote_bytes += remote_bytes;
-      }
-      if (obs::wants_events(obs)) {
-        std::string procs_str;
-        for (ProcId q : best.procs) {
-          if (!procs_str.empty()) procs_str += ',';
-          procs_str += std::to_string(q);
-        }
-        obs->sink->emit(
-            obs::Event("locbs.place")
-                .with("task", tp)
-                .with("np", static_cast<std::uint64_t>(need))
-                .with("busy_from", best.busy_from)
-                .with("start", best.start)
-                .with("finish", best.finish)
-                .with("holes_scanned",
-                      static_cast<std::uint64_t>(holes_probed))
-                .with("backfill", backfilled)
-                .with("pruned", scan_pruned)
-                .with("subset",
-                      best.subset == 0 ? "locality" : "horizon")
-                .with("local_bytes", local_bytes)
-                .with("remote_bytes", remote_bytes)
-                .with("procs", procs_str));
-        obs::PlacementDecision d;
-        d.task = tp;
-        d.np = need;
-        d.prio = prio[tp];
-        d.est = est0;
-        d.start = best.start;
-        d.finish = best.finish;
-        d.busy_from = best.busy_from;
-        d.backfill_branch = opt.backfill;
-        d.locality_branch = opt.locality;
-        d.comm_blind = opt.comm_blind;
-        d.backfilled = backfilled;
-        d.pruned = scan_pruned;
-        d.perturbed = perturb_this;
-        d.holes_probed = holes_probed;
-        d.candidates_scored = cands_scored;
-        d.margin = margin;
-        d.local_bytes = local_bytes;
-        d.remote_bytes = remote_bytes;
-        obs::ProvCandidate win;
-        win.tau = best.touch;
-        win.subset = best.subset;
-        win.start = best.start;
-        win.finish = best.finish;
-        win.busy_from = best.busy_from;
-        win.remote_bytes = remote_bytes;
-        for (ProcId q : best.procs) win.locality_score += score[q];
-        win.procs = best.procs;
-        d.winner = shortlist.ensure(win);
-        d.shortlist = shortlist.entries();
-        obs->sink->emit(obs::decision_event(d));
-      }
+    if (want_prov) {
+      if (step.decision == nullptr)
+        step.decision = std::make_unique<obs::PlacementDecision>();
+      obs::PlacementDecision& d = *step.decision;
+      d.task = tp;
+      d.np = need;
+      d.est = est0;
+      d.start = best.start;
+      d.finish = best.finish;
+      d.busy_from = best.busy_from;
+      d.backfill_branch = opt.backfill;
+      d.locality_branch = opt.locality;
+      d.comm_blind = opt.comm_blind;
+      d.backfilled = step.backfilled;
+      d.pruned = scan_pruned;
+      d.perturbed = perturb_this;
+      d.holes_probed = holes_probed;
+      d.candidates_scored = cands_scored;
+      d.margin = margin;
+      d.local_bytes = step.local_bytes;
+      d.remote_bytes = step.remote_bytes;
+      obs::ProvCandidate win;
+      win.tau = best.touch;
+      win.subset = best.subset;
+      win.start = best.start;
+      win.finish = best.finish;
+      win.busy_from = best.busy_from;
+      win.remote_bytes = step.remote_bytes;
+      for (ProcId q : best.procs) win.locality_score += score[q];
+      win.procs = best.procs;
+      d.winner = shortlist.ensure(win);
+      d.shortlist = shortlist.entries();
     }
 
-    for (EdgeId e : g.out_edges(tp))
-      if (--waiting[g.edge(e).dst] == 0) ready.push_back(g.edge(e).dst);
+    commit(step);
+    if (fresh != nullptr) newrec.steps.push_back(std::move(fresh));
   }
 
   if (incr != nullptr) {
@@ -796,7 +775,8 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
     // whether it had any replay base at all. The incr.* family is
     // digest-excluded (the from-scratch oracle produces none).
     if (met != nullptr) {
-      met->add("incr.dirty_tasks", static_cast<double>(scanned_tasks));
+      met->add("incr.dirty_tasks",
+               static_cast<double>(n - n_frozen - replayed_tasks));
       met->add("incr.replayed_tasks", static_cast<double>(replayed_tasks));
       if (replayed_tasks == 0) met->add("incr.full_rebuilds");
     }

@@ -119,9 +119,11 @@ struct FixedPrefix {
 /// whose processor counts match longest, commits that record's placements
 /// verbatim for as long as the live priority argmax picks the recorded
 /// task with the recorded np, scans only the remainder, and records
-/// itself for future replays. The result — schedule, G', counters — is
+/// itself for future replays. Scanned and replayed placements share one
+/// commit, so the result — schedule, G', counters, events — is
 /// bit-identical to incr == nullptr (the from-scratch oracle path); only
-/// the digest-excluded `incr.*` counters reveal which path ran.
+/// the digest-excluded `incr.*` counters and the profile's span counts
+/// reveal which path ran.
 LocBSResult locbs(const TaskGraph& g, const Allocation& np,
                   const CommModel& comm, const LocBSOptions& opt = {},
                   const FixedPrefix* fixed = nullptr,

@@ -37,11 +37,11 @@ struct SchedulerOptions {
 
   /// Incremental replanning (docs/incremental.md): LoC-MPS-backed schemes
   /// replay the verified placement prefix of each LoCBS evaluation from a
-  /// recorded earlier one instead of re-scanning every task. Results are
-  /// bit-identical to the
-  /// from-scratch path (the differential oracle of tests/test_incremental);
-  /// false forces the from-scratch reference. Ignored by schemes without
-  /// LoCBS.
+  /// recorded earlier one instead of re-scanning every task, with or
+  /// without an attached sink or profiler. Results are bit-identical to
+  /// the from-scratch path (the differential oracle of
+  /// tests/test_incremental); false forces the from-scratch reference.
+  /// Ignored by schemes without LoCBS.
   bool incremental = true;
 
   /// When > 0, caps the planner's refinement budget (LoCBS invocations for

@@ -3,13 +3,15 @@
 ///
 /// The contract: LoC-MPS with `incremental = true` — prefix replay of
 /// recorded LoCBS evaluations, continued while each live priority pick
-/// matches the record — must be observably identical to the from-scratch reference on every workload:
-/// same placements, same makespan, same counters (outside the
-/// digest-excluded incr.* family), same sample-series values, same
-/// decision-event stream when traced, and the same post-mortem analysis.
-/// Only the incr.* counters may reveal which path ran. The suite runs
-/// every workload of the seeded sweep through both sides and asserts with
-/// the shared DifferentialChecker (tests/test_util.hpp).
+/// matches the record — must be observably identical to the from-scratch
+/// reference on every workload: same placements, same makespan, same
+/// counters (outside the digest-excluded incr.* family), same
+/// sample-series values, same decision-event stream when traced, and the
+/// same post-mortem analysis. Only the incr.* counters may reveal which
+/// path ran. Traced and profiled runs replay too: an attached instrument
+/// never changes the path. The suite runs every workload of the seeded
+/// sweep through both sides and asserts with the shared
+/// DifferentialChecker (tests/test_util.hpp).
 
 #include "schedulers/incremental.hpp"
 
@@ -24,6 +26,7 @@
 
 #include "network/comm_model.hpp"
 #include "obs/analysis.hpp"
+#include "obs/profile.hpp"
 #include "schedulers/loc_mps.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -123,9 +126,9 @@ TEST(IncrementalOracle, MetricsOnlyRunsAreBitIdentical) {
 }
 
 TEST(IncrementalOracle, TracedRunsAreBitIdentical) {
-  // With an event sink the machinery stands down (the reference path runs
-  // so traces keep their exact shape) — the differential contract must
-  // hold all the same, including the full decision-event stream.
+  // With an event sink attached, replayed placements re-emit the
+  // provenance their scan recorded: the whole decision-event stream,
+  // beyond the buffer's retention bound too, must match from-scratch.
   const Cluster cluster(16);
   for (const auto& [label, g] : sweep_workloads()) {
     const RunCapture off = run(g, cluster, false, /*with_sink=*/true);
@@ -175,6 +178,41 @@ TEST(IncrementalOracle, CountersExposeTheReplay) {
   // from the recorded prefix, not a fresh scan.
   EXPECT_GT(on.metrics.counter("incr.replayed_tasks"),
             on.metrics.counter("incr.dirty_tasks"));
+
+  // Instruments watch the same path: a sink or a profiler leaves replay on.
+  const RunCapture traced = run(g, cluster, true, /*with_sink=*/true);
+  EXPECT_GT(traced.metrics.counter("incr.replayed_tasks"), 0.0);
+  LocMPSScheduler sched;
+  obs::MetricsRegistry reg;
+  obs::Profiler prof;
+  obs::ObsContext ctx{&reg, nullptr, &prof};
+  sched.attach_observability(&ctx);
+  sched.schedule(g, cluster);
+  EXPECT_GT(reg.snapshot().counter("incr.replayed_tasks"), 0.0);
+}
+
+TEST(IncrementalOracle, TracingAddsNoEvaluations) {
+  // The refinement loop ends on a realization of the final allocation, so
+  // a traced run needs no extra pass to end its trace on the committed
+  // schedule: it evaluates and places exactly what a metrics-only run does.
+  const Cluster cluster(16);
+  SyntheticParams p;
+  p.ccr = 1.0;
+  p.max_procs = 16;
+  Rng rng(777);
+  const TaskGraph g = make_synthetic_dag(p, rng);
+  for (const bool incremental : {false, true}) {
+    const RunCapture plain = run(g, cluster, incremental, false);
+    const RunCapture traced = run(g, cluster, incremental, true);
+    const std::string label = incremental ? "incremental" : "from-scratch";
+    EXPECT_EQ(plain.result.iterations, traced.result.iterations) << label;
+    EXPECT_EQ(plain.metrics.counter("locmps.locbs_calls"),
+              traced.metrics.counter("locmps.locbs_calls"))
+        << label;
+    EXPECT_EQ(plain.metrics.counter("locbs.tasks_placed"),
+              traced.metrics.counter("locbs.tasks_placed"))
+        << label;
+  }
 }
 
 TEST(IncrementalOracle, FixedPrefixReplansAreBitIdentical) {

@@ -1,13 +1,17 @@
 #pragma once
 /// Shared helpers for the test suite.
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -504,11 +508,62 @@ inline Xml parse_xhtml_report(std::string_view report) {
 // replayed placements add their recorded per-placement deltas in the same
 // order a re-scan adds them.
 
+/// Event sink of the differential oracle. Keeps the first
+/// EventBuffer::kMaxEvents events for field-by-field comparison and folds
+/// every emitted event, the ones the buffer drops included, into a count
+/// and a 64-bit FNV-1a hash of its name and fields (doubles bit-cast), so
+/// two streams are compared end to end however long they run.
+class HashingEventSink final : public obs::EventSink {
+ public:
+  void emit(const obs::Event& e) override {
+    buf_.emit(e);
+    ++count_;
+    mix(e.name());
+    for (const auto& [key, value] : e.fields()) {
+      mix(key);
+      mix(static_cast<std::uint64_t>(value.index()));
+      std::visit(
+          [&](const auto& v) {
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, std::string>)
+              mix(v);
+            else if constexpr (std::is_same_v<T, double>)
+              mix(std::bit_cast<std::uint64_t>(v));
+            else
+              mix(static_cast<std::uint64_t>(v));
+          },
+          value);
+    }
+  }
+  std::uint64_t dropped() const override { return buf_.dropped(); }
+
+  const std::vector<obs::Event>& events() const { return buf_.events(); }
+  std::uint64_t count() const { return count_; }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  void mix_byte(unsigned char b) { hash_ = (hash_ ^ b) * 1099511628211ull; }
+  void mix(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i)
+      mix_byte(static_cast<unsigned char>(x >> (8 * i)));
+  }
+  void mix(std::string_view s) {
+    mix(static_cast<std::uint64_t>(s.size()));
+    for (char c : s) mix_byte(static_cast<unsigned char>(c));
+  }
+
+  obs::EventBuffer buf_;
+  std::uint64_t count_ = 0;
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
 /// Everything one instrumented LoC-MPS run produces.
 struct RunCapture {
   SchedulerResult result;
   obs::MetricsSnapshot metrics;
-  std::vector<obs::Event> events;
+  std::vector<obs::Event> events;  ///< the first kMaxEvents events
+  std::uint64_t event_count = 0;   ///< every emitted event
+  std::uint64_t event_hash = 0;    ///< HashingEventSink::hash of them all
 };
 
 /// Counters that legitimately differ between equivalent runs: incr.*,
@@ -526,12 +581,14 @@ inline RunCapture run_locmps_capture(const TaskGraph& g,
                                      bool with_sink) {
   LocMPSScheduler sched(opt);
   obs::MetricsRegistry reg;
-  obs::EventBuffer buf;
-  obs::ObsContext ctx{&reg, with_sink ? &buf : nullptr};
+  HashingEventSink sink;
+  obs::ObsContext ctx{&reg, with_sink ? &sink : nullptr};
   sched.attach_observability(&ctx);
   RunCapture cap{sched.schedule(g, cluster), {}, {}};
   cap.metrics = reg.snapshot();
-  cap.events = buf.events();
+  cap.events = sink.events();
+  cap.event_count = sink.count();
+  cap.event_hash = sink.hash();
   return cap;
 }
 
@@ -548,7 +605,7 @@ class DifferentialChecker {
     expect_same_schedule(ref, alt, label);
     expect_same_counters(ref.metrics, alt.metrics, label);
     expect_same_series_values(ref.metrics, alt.metrics, label);
-    expect_same_events(ref.events, alt.events, label);
+    expect_same_events(ref, alt, label);
   }
 
   void expect_same_schedule(const RunCapture& ref, const RunCapture& alt,
@@ -603,16 +660,20 @@ class DifferentialChecker {
     }
   }
 
-  void expect_same_events(const std::vector<obs::Event>& ref,
-                          const std::vector<obs::Event>& alt,
+  /// The retained events field by field, then the whole stream (past
+  /// the buffer's retention bound) by count and hash.
+  void expect_same_events(const RunCapture& ref, const RunCapture& alt,
                           const std::string& label) const {
-    ASSERT_EQ(ref.size(), alt.size()) << label;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(ref[i].name(), alt[i].name()) << label << ": event " << i;
-      EXPECT_TRUE(ref[i].fields() == alt[i].fields())
-          << label << ": fields of event " << i << " (" << ref[i].name()
-          << ")";
+    ASSERT_EQ(ref.events.size(), alt.events.size()) << label;
+    for (std::size_t i = 0; i < ref.events.size(); ++i) {
+      EXPECT_EQ(ref.events[i].name(), alt.events[i].name())
+          << label << ": event " << i;
+      EXPECT_TRUE(ref.events[i].fields() == alt.events[i].fields())
+          << label << ": fields of event " << i << " ("
+          << ref.events[i].name() << ")";
     }
+    EXPECT_EQ(ref.event_count, alt.event_count) << label;
+    EXPECT_EQ(ref.event_hash, alt.event_hash) << label;
   }
 
   /// Asserts the post-mortem analyses of both schedules agree: same
