@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "network/block_cyclic.hpp"
+#include "obs/profile.hpp"
 #include "schedule/event_sim.hpp"
 
 namespace locmps {
@@ -107,7 +108,7 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
 
   obs::ObsContext* const obs = opt.obs;
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::ScopedTimer run_timer(met, "recovery.run");
+  LOCMPS_SPAN(obs, "recovery.run");
   CommModel comm(cluster);
   LocMPSScheduler planner(opt.planner);
   planner.attach_observability(obs);
@@ -172,6 +173,53 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
                           .with("rounds",
                                 static_cast<std::uint64_t>(out.rounds)));
     return out;
+  };
+
+  // Re-plans the remaining work around what started by instant `at`:
+  // every task of `executed` that began by then (except `skip`) keeps its
+  // realized window, and so does each in-flight compute kill of
+  // `in_flight` that began by then (a later onset kills it, which is not
+  // observable yet). Every other task is released no earlier than `at`
+  // and placed on the survivors.
+  struct Replan {
+    double estimated = 0.0;  ///< modeled makespan of the new plan
+    std::size_t frozen = 0;
+  };
+  auto replan_from = [&](const Schedule& executed, double at, TaskId skip,
+                         const std::vector<const TaskKill*>& in_flight) {
+    const double eps = 1e-9 * std::max(1.0, std::fabs(at));
+    Schedule committed(n, P);
+    std::vector<char> frozen(n, 0);
+    Replan r;
+    for (TaskId t = 0; t < n; ++t) {
+      if (t == skip) continue;
+      const Placement& pe = executed.at(t);
+      if (pe.scheduled() && pe.start <= at + eps) {
+        frozen[t] = 1;
+        committed.place(t, pe.busy_from, pe.start, pe.finish, pe.procs);
+        ++r.frozen;
+      }
+    }
+    for (const TaskKill* k : in_flight) {
+      if (k->kind != TaskKill::Kind::kCompute || k->start > at + eps)
+        continue;
+      frozen[k->task] = 1;
+      committed.place(k->task, k->busy_from, k->start, k->planned_finish,
+                      current.at(k->task).procs);
+      ++r.frozen;
+    }
+    for (TaskId t = 0; t < n; ++t)
+      if (frozen[t] == 0) release[t] = std::max(release[t], at);
+
+    FixedPrefix fixed;
+    fixed.frozen = std::move(frozen);
+    fixed.placements = &committed;
+    fixed.not_before = at;
+    fixed.available = &survivors;
+    SchedulerResult re = planner.schedule_with_fixed(g, cluster, fixed);
+    current = std::move(re.schedule);
+    r.estimated = re.estimated_makespan;
+    return r;
   };
 
   while (out.rounds < opt.max_rounds) {
@@ -342,36 +390,11 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
                           std::max<std::size_t>(1, opt.min_procs)) +
                       " required");
 
-            const double eps =
-                1e-9 * std::max(1.0, std::fabs(detect_at));
-            Schedule committed(n, P);
-            std::vector<char> frozen(n, 0);
-            std::size_t n_frozen = 0;
-            for (TaskId t2 = 0; t2 < n; ++t2) {
-              if (t2 == straggler) continue;
-              const Placement& p2 = run.executed.at(t2);
-              if (p2.scheduled() && p2.start <= detect_at + eps) {
-                frozen[t2] = 1;
-                committed.place(t2, p2.busy_from, p2.start, p2.finish,
-                                p2.procs);
-                ++n_frozen;
-              }
-            }
-            for (TaskId t2 = 0; t2 < n; ++t2)
-              if (frozen[t2] == 0)
-                release[t2] = std::max(release[t2], detect_at);
             const double wasted =
                 static_cast<double>(pe.np()) * (detect_at - pe.start);
             out.mitigation_wasted_seconds += wasted;
-
-            FixedPrefix fixed;
-            fixed.frozen = std::move(frozen);
-            fixed.placements = &committed;
-            fixed.not_before = detect_at;
-            fixed.available = &survivors;
-            SchedulerResult re =
-                planner.schedule_with_fixed(g, cluster, fixed);
-            current = std::move(re.schedule);
+            const Replan re =
+                replan_from(run.executed, detect_at, straggler, {});
             ++out.straggler_replans;
             if (met != nullptr) {
               met->add("mitigation.replans");
@@ -388,8 +411,8 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
                             static_cast<std::uint64_t>(out.masked.count()))
                       .with("survivors",
                             static_cast<std::uint64_t>(alive_procs))
-                      .with("frozen", static_cast<std::uint64_t>(n_frozen))
-                      .with("estimated", re.estimated_makespan)
+                      .with("frozen", static_cast<std::uint64_t>(re.frozen))
+                      .with("estimated", re.estimated)
                       .with("wasted_s", wasted));
           }
           continue;
@@ -532,36 +555,7 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
       // that started (or finished) by t_k keep their realized windows, and
       // work in flight that a *later* onset will kill keeps running — that
       // kill is not observable yet and is handled when it replays.
-      Schedule committed(n, P);
-      std::vector<char> frozen(n, 0);
-      std::size_t n_frozen = 0;
-      for (TaskId t = 0; t < n; ++t) {
-        const Placement& pe = run.executed.at(t);
-        if (pe.scheduled() && pe.start <= t_k + eps) {
-          frozen[t] = 1;
-          committed.place(t, pe.busy_from, pe.start, pe.finish, pe.procs);
-          ++n_frozen;
-        }
-      }
-      for (const TaskKill* k : later) {
-        if (k->kind != TaskKill::Kind::kCompute || k->start > t_k + eps)
-          continue;
-        frozen[k->task] = 1;
-        committed.place(k->task, k->busy_from, k->start, k->planned_finish,
-                        current.at(k->task).procs);
-        ++n_frozen;
-      }
-
-      for (TaskId t = 0; t < n; ++t)
-        if (frozen[t] == 0) release[t] = std::max(release[t], t_k);
-
-      FixedPrefix fixed;
-      fixed.frozen = std::move(frozen);
-      fixed.placements = &committed;
-      fixed.not_before = t_k;
-      fixed.available = &survivors;
-      SchedulerResult re = planner.schedule_with_fixed(g, cluster, fixed);
-      current = std::move(re.schedule);
+      const Replan re = replan_from(run.executed, t_k, kNoTask, later);
       ++out.replans;
       if (met != nullptr) {
         met->add("recovery.replans");
@@ -576,8 +570,8 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
                       static_cast<std::uint64_t>(alive_procs))
                 .with("masked",
                       static_cast<std::uint64_t>(out.masked.count()))
-                .with("frozen", static_cast<std::uint64_t>(n_frozen))
-                .with("estimated", re.estimated_makespan));
+                .with("frozen", static_cast<std::uint64_t>(re.frozen))
+                .with("estimated", re.estimated));
     }
   }
 

@@ -515,18 +515,19 @@ TraceSummary summarize_trace(const std::vector<TraceRecord>& records,
                              std::size_t num_tasks) {
   TraceSummary ts;
   ts.backfilled.assign(num_tasks, 0);
-  // The last "locbs.place" per task belongs to the final (adopted) LoCBS
-  // pass — LoC-MPS re-realizes the best allocation at the end of every
-  // round, after the round's look-ahead passes.
+  // The last "locbs.decision" per task belongs to the final (adopted)
+  // LoCBS pass: LoC-MPS ends on a realization of the best allocation.
+  // Older traces also carry a "locbs.place" twin of every decision; it
+  // holds nothing the decision lacks and is skipped.
   std::vector<char> placed(num_tasks, 0);
   std::vector<double> local(num_tasks, 0.0), remote(num_tasks, 0.0);
   for (const TraceRecord& r : records) {
-    if (r.ev == "locbs.place") {
+    if (r.ev == "locbs.decision") {
       ++ts.place_events;
       const auto t = static_cast<std::size_t>(r.num("task", -1.0));
       if (t < num_tasks) {
         placed[t] = 1;
-        ts.backfilled[t] = r.flag("backfill") ? 1 : 0;
+        ts.backfilled[t] = r.flag("backfilled") ? 1 : 0;
         local[t] = r.num("local_bytes");
         remote[t] = r.num("remote_bytes");
       }

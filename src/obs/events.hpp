@@ -125,7 +125,7 @@ std::string json_escape(std::string_view in);
 /// counted in dropped() instead of growing the buffer without limit.
 class LOCMPS_THREAD_COMPATIBLE EventBuffer final : public EventSink {
  public:
-  /// Retention bound, mirroring MetricsRegistry::kMaxSpans in spirit:
+  /// Retention bound, mirroring MetricsRegistry::kMaxSamples in spirit:
   /// large enough for every workload in the test/bench suites, small
   /// enough that a runaway emitter cannot exhaust memory.
   static constexpr std::size_t kMaxEvents = 65536;

@@ -129,10 +129,7 @@ void print_decision(std::ostream& os, const TaskGraph& g,
 /// One-line digest for critical-path walks and log output.
 std::string decision_brief(const PlacementDecision& d);
 
-/// Comma-joined processor list ("0,3,7"), the trace's procs encoding.
+/// Comma-joined processor list ("0,3,7") for text and JSON output.
 std::string procs_csv(const std::vector<ProcId>& procs);
-
-/// Inverse of procs_csv; throws std::runtime_error on malformed input.
-std::vector<ProcId> parse_procs_csv(const std::string& csv);
 
 }  // namespace locmps::obs

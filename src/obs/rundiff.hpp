@@ -33,7 +33,8 @@
 namespace locmps::obs {
 
 /// One task's final realized placement in one run, reconstructed from the
-/// last "locbs.place" / "locbs.decision" records it received.
+/// last "locbs.decision" record it received (procs from the winning
+/// candidate).
 struct TaskRun {
   bool placed = false;
   std::size_t np = 0;
@@ -42,7 +43,7 @@ struct TaskRun {
   double finish = 0.0;
   double remote_bytes = 0.0;
   std::vector<ProcId> procs;      ///< ascending
-  PlacementDecision decision;     ///< invalid when no decision record seen
+  PlacementDecision decision;     ///< the record itself (valid when placed)
 };
 
 /// The per-task view of one run's trace.

@@ -13,10 +13,9 @@ namespace {
 
 using obs::json_escape;
 
-/// Emits the planner process: one thread per phase timer (spans as "X"
-/// slices) and one Perfetto counter track per sample series. All planner
-/// times are wall-clock seconds since the metrics epoch, scaled to
-/// microseconds.
+/// Emits the planner process with one Perfetto counter track per sample
+/// series. Planner times are wall-clock seconds since the metrics epoch,
+/// scaled to microseconds.
 void write_planner_track(std::ostream& os, bool& first,
                          const obs::MetricsSnapshot& planner) {
   constexpr double kScale = 1e6;
@@ -27,22 +26,6 @@ void write_planner_track(std::ostream& os, bool& first,
   comma();
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
         "\"args\":{\"name\":\"planner\"}}";
-  int tid = 0;
-  for (const obs::TimerStats& timer : planner.timers) {
-    comma();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-       << ",\"args\":{\"name\":\"" << json_escape(timer.name) << "\"}}";
-    for (const obs::TimerSpan& span : timer.spans) {
-      const double dur = span.end_s - span.begin_s;
-      if (dur < 0.0) continue;  // clock skew guard; never emit negative
-      comma();
-      os << "{\"name\":\"" << json_escape(timer.name)
-         << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tid
-         << ",\"ts\":" << span.begin_s * kScale << ",\"dur\":" << dur * kScale
-         << "}";
-    }
-    ++tid;
-  }
   for (const obs::SeriesStats& series : planner.series) {
     for (const obs::SamplePoint& pt : series.points) {
       comma();
@@ -53,27 +36,27 @@ void write_planner_track(std::ostream& os, bool& first,
   }
 }
 
-/// Emits the session profiler's span intervals as one planner thread of
-/// nested "X" slices (tid \p tid following the timer threads). Perfetto
-/// nests slices on a thread by time containment, which the profiler's
-/// strict open/close discipline guarantees.
+/// Emits the session profiler's span intervals as one planner thread
+/// ("profile.spans", tid 0) of nested "X" slices. Perfetto nests slices on
+/// a thread by time containment, which the profiler's strict open/close
+/// discipline guarantees.
 void write_profile_track(std::ostream& os, bool& first,
-                         const obs::ProfileSnapshot& profile, int tid) {
+                         const obs::ProfileSnapshot& profile) {
   constexpr double kScale = 1e6;
   auto comma = [&] {
     if (!first) os << ",";
     first = false;
   };
   comma();
-  os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-     << ",\"args\":{\"name\":\"profile.spans\"}}";
+  os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+        "\"args\":{\"name\":\"profile.spans\"}}";
   for (const obs::ProfileInterval& iv : profile.intervals) {
     const double dur = iv.end_s - iv.begin_s;
     if (dur < 0.0) continue;  // clock skew guard; never emit negative
     comma();
     os << "{\"name\":\"" << json_escape(iv.name)
-       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tid
-       << ",\"ts\":" << iv.begin_s * kScale << ",\"dur\":" << dur * kScale
+       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":"
+       << iv.begin_s * kScale << ",\"dur\":" << dur * kScale
        << ",\"args\":{\"depth\":" << iv.depth << "}}";
   }
 }
@@ -120,10 +103,8 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
     first = false;
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
           "\"args\":{\"name\":\"schedule\"}}";
-    int tid = 0;
     if (planner != nullptr) {
       write_planner_track(os, first, *planner);
-      tid = static_cast<int>(planner->timers.size());
     } else {
       if (!first) os << ",";
       first = false;
@@ -131,7 +112,7 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
             "\"args\":{\"name\":\"planner\"}}";
     }
     if (profile != nullptr && !profile->empty())
-      write_profile_track(os, first, *profile, tid);
+      write_profile_track(os, first, *profile);
   }
   os << "]}";
 }

@@ -6,10 +6,10 @@
 /// allocation details in the slice arguments. A practical complement to
 /// the ASCII Gantt for large schedules.
 ///
-/// A second, optional track renders the *planner's* own telemetry (an
-/// obs::MetricsSnapshot from an instrumented run): each phase timer
-/// becomes a thread of "X" slices and each sample series a Perfetto
-/// counter track, so one file shows both what was scheduled and how the
+/// A second, optional track renders the *planner's* own telemetry: each
+/// sample series of an obs::MetricsSnapshot becomes a Perfetto counter
+/// track and a profiler's span intervals become a thread of nested "X"
+/// slices, so one file shows both what was scheduled and how the
 /// scheduler spent its time deciding (docs/observability.md).
 
 #include <iosfwd>
@@ -28,8 +28,8 @@ namespace locmps {
 /// A leading busy window (busy_from < start, no-overlap redistributions)
 /// is emitted as a separate "recv:" slice.
 ///
-/// When \p planner is non-null its timers/series are emitted under a
-/// separate "planner" process (pid 1). Planner times are wall-clock
+/// When \p planner is non-null its series are emitted under a separate
+/// "planner" process (pid 1). Planner times are wall-clock
 /// seconds since the metrics epoch, always scaled by 1e6 — the schedule
 /// and planner tracks sit on different clocks but load side by side.
 void write_chrome_trace(std::ostream& os, const TaskGraph& g,
@@ -38,11 +38,10 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
                         double time_scale = 1e6);
 
 /// Full overload: additionally renders \p profile (a session profiler's
-/// ProfileSnapshot) as one more planner thread, "profile.spans", whose
-/// "X" slices are the recorded span intervals. Spans nest properly in
-/// time, so Perfetto stacks them into the planner's flamegraph-style
-/// hierarchy. Interval times are seconds since the profiler's epoch
-/// (the same convention as the timer spans).
+/// ProfileSnapshot) as the planner thread "profile.spans", whose "X"
+/// slices are the recorded span intervals. Spans nest properly in time,
+/// so Perfetto stacks them into the planner's flamegraph-style hierarchy.
+/// Interval times are seconds since the profiler's epoch.
 void write_chrome_trace(std::ostream& os, const TaskGraph& g,
                         const Schedule& s,
                         const obs::MetricsSnapshot* planner,

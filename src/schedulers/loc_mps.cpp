@@ -48,7 +48,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   const std::size_t P = cluster.processors;
   obs::ObsContext* const obs = observability();
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::ScopedTimer run_timer(met, "locmps.run");
   LOCMPS_SPAN(obs, "locmps.run");
   CommModel comm(cluster);
   if (met != nullptr)
@@ -238,7 +237,7 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
     ++round;
     CriticalPathInfo cp;
     {
-      obs::ScopedTimer cp_timer(met, "locmps.critical_path");
+      LOCMPS_SPAN(obs, "locmps.critical_path");
       cp = best_run.dag.critical_path();
     }
     // The round's entry point always respects the marks.
@@ -270,7 +269,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
       for (std::size_t iter = 0; iter < opt_.look_ahead_depth; ++iter) {
         if (iter > 0) {
           {
-            obs::ScopedTimer cp_timer(met, "locmps.critical_path");
             LOCMPS_SPAN(obs, "locmps.critical_path");
             cp = cur->dag.critical_path();
           }
@@ -384,9 +382,9 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   }
 
   // The refinement loop's last LoCBS evaluation always realizes
-  // best_alloc, so a trace's last "locbs.place"/"locbs.decision" record
-  // per task is exactly the committed schedule — rundiff and `--explain`
-  // read precisely those. An armed perturb_task takes effect in one extra
+  // best_alloc, so a trace's last "locbs.decision" record per task is
+  // exactly the committed schedule — rundiff and `--explain` read
+  // precisely those. An armed perturb_task takes effect in one extra
   // final realization (and only there).
   if (perturb != kNoTask) {
     best_run = locbs(g, best_alloc, comm, opt_.locbs, fixed, obs);

@@ -8,7 +8,6 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 
 #include "graph/algorithms.hpp"
 #include "network/block_cyclic.hpp"
@@ -52,7 +51,6 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   const std::size_t n = g.num_tasks();
   const std::size_t P = comm.cluster().processors;
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::ScopedTimer pass_timer(met, "locbs.pass");
   LOCMPS_SPAN(obs, "locbs.pass");
   if (met != nullptr) met->add("locbs.calls");
   if (np.size() != n)
@@ -265,25 +263,6 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
       *cells.remote_bytes += s.remote_bytes;
     }
     if (obs::wants_events(obs)) {
-      std::string procs_str;
-      for (ProcId q : s.procs) {
-        if (!procs_str.empty()) procs_str += ',';
-        procs_str += std::to_string(q);
-      }
-      obs->sink->emit(
-          obs::Event("locbs.place")
-              .with("task", t)
-              .with("np", static_cast<std::uint64_t>(s.np))
-              .with("busy_from", s.busy_from)
-              .with("start", s.start)
-              .with("finish", s.finish)
-              .with("holes_scanned", static_cast<std::uint64_t>(s.holes_probed))
-              .with("backfill", s.backfilled)
-              .with("pruned", s.pruned)
-              .with("subset", s.subset == 0 ? "locality" : "horizon")
-              .with("local_bytes", s.local_bytes)
-              .with("remote_bytes", s.remote_bytes)
-              .with("procs", procs_str));
       // A record made without a sink carries no provenance; one stream
       // keeps one ObsContext, so a traced replay never meets one.
       assert(s.decision != nullptr);
@@ -464,12 +443,11 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
       pc.start = c.start;
       pc.finish = c.finish;
       pc.busy_from = c.busy_from;
-      for (EdgeId e : comm_edges) {
-        const Edge& ed = g.edge(e);
-        pc.remote_bytes +=
-            opt.locality
-                ? ed.volume_bytes * remote_fraction(placed[ed.src], c.procs)
-                : ed.volume_bytes;
+      // time_on has just filled the candidate's cache slot for c.procs
+      // (it skips the cache only when no in-edge carries data).
+      if (!comm_edges.empty()) {
+        assert(durs_cache[c.subset].procs == c.procs);
+        for (double rv : durs_cache[c.subset].rvol) pc.remote_bytes += rv;
       }
       for (ProcId q : c.procs) pc.locality_score += score[q];
       pc.procs = c.procs;
@@ -542,49 +520,43 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
           std::swap(second, cand);
         }
       };
-      // Locality-first subset (ties broken towards longer idle windows).
-      sel.assign(eligible.begin(), eligible.end());
-      std::nth_element(sel.begin(), sel.begin() + need - 1, sel.end(),
-                       [&](ProcId a, ProcId b) {
-                         if (score[a] != score[b]) return score[a] > score[b];
-                         if (until_of[a] != until_of[b])
-                           return until_of[a] > until_of[b];
-                         return a < b;
-                       });
-      sel.resize(need);
-      consider(sel, 0);
-      // Horizon-first subset (widest windows).
-      sel.assign(eligible.begin(), eligible.end());
-      std::nth_element(sel.begin(), sel.begin() + need - 1, sel.end(),
-                       [&](ProcId a, ProcId b) {
-                         if (until_of[a] != until_of[b])
-                           return until_of[a] > until_of[b];
-                         if (score[a] != score[b]) return score[a] > score[b];
-                         return a < b;
-                       });
-      sel.resize(need);
-      consider(sel, 1);
-      // Shadow subset (provenance / perturbation only): the anti-locality
-      // pick. It shows what the locality preference bought — and gives the
-      // runner-up fold a genuinely different processor set when both real
-      // subsets coincide (common once every eligible window is unbounded,
-      // where the two orderings collapse to the same tie-break). Never
-      // allowed to win: the committed schedule must be identical whether
-      // or not a sink or the perturb hook asked for it.
-      if (want_second && eligible.size() > need) {
+      // Subset generators, by slot: the `need` eligible processors that
+      // rank first by a (primary, secondary) key pair, larger first, ties
+      // to lower ids. Each key is a compile-time lambda, so the comparator
+      // inlines into nth_element.
+      //   0 locality-first: most resident input, then longest idle window
+      //   1 horizon-first:  longest idle window, then most resident input
+      //   2 shadow:         least resident input, then longest idle window
+      const auto resident = [&](ProcId q) { return score[q]; };
+      const auto window = [&](ProcId q) { return until_of[q]; };
+      const auto foreign = [&](ProcId q) { return -score[q]; };
+      auto first_need = [&](auto primary, auto secondary)
+          -> std::vector<ProcId>& {
         sel.assign(eligible.begin(), eligible.end());
         std::nth_element(sel.begin(), sel.begin() + need - 1, sel.end(),
                          [&](ProcId a, ProcId b) {
-                           if (score[a] != score[b])
-                             return score[a] < score[b];
-                           if (until_of[a] != until_of[b])
-                             return until_of[a] > until_of[b];
+                           if (primary(a) > primary(b)) return true;
+                           if (primary(b) > primary(a)) return false;
+                           if (secondary(a) > secondary(b)) return true;
+                           if (secondary(b) > secondary(a)) return false;
                            return a < b;
                          });
         sel.resize(need);
-        std::sort(sel.begin(), sel.end());
+        return sel;
+      };
+      consider(first_need(resident, window), 0);
+      consider(first_need(window, resident), 1);
+      // The shadow shows what the locality preference bought, and gives the
+      // runner-up fold a genuinely different processor set when both real
+      // subsets coincide (common once every eligible window is unbounded,
+      // where the two orders collapse to the same tie-break). Never allowed
+      // to win: the committed schedule must be identical whether or not a
+      // sink or the perturb hook asked for it.
+      if (want_second && eligible.size() > need) {
+        std::vector<ProcId>& procs = first_need(foreign, window);
+        std::sort(procs.begin(), procs.end());
         Candidate c;
-        time_on(tau, sel, 2, c);
+        time_on(tau, procs, 2, c);
         if (feasible(c)) {
           record_cand(c, tau);
           offer_shadow(std::move(c));

@@ -107,9 +107,10 @@ struct FixedPrefix {
 ///
 /// \p obs (optional) receives per-placement decision telemetry: "locbs.*"
 /// counters (holes scanned, backfill hits, subset choices, local/remote
-/// redistribution bytes), a "locbs.pass" phase timer, and one
-/// "locbs.place" plus one "locbs.decision" provenance event per task
-/// (obs/provenance.hpp documents the record schema). Null — the default —
+/// redistribution bytes) and one "locbs.decision" event per placed task,
+/// the placement together with its provenance (obs/provenance.hpp
+/// documents the record schema); an attached profiler times the pass as
+/// the "locbs.pass" span. Null — the default —
 /// is a zero-cost fast path: all instrumentation hides behind
 /// per-placement branches.
 ///

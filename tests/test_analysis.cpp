@@ -272,9 +272,9 @@ TEST(Trace, ThrowsOnMalformedLine) {
 
 TEST(Trace, SummaryUsesLastPlacePerTask) {
   std::istringstream in(
-      "{\"ev\":\"locbs.place\",\"task\":0,\"backfill\":true,"
+      "{\"ev\":\"locbs.decision\",\"task\":0,\"backfilled\":false,"
       "\"local_bytes\":1,\"remote_bytes\":9}\n"
-      "{\"ev\":\"locbs.place\",\"task\":0,\"backfill\":false,"
+      "{\"ev\":\"locbs.decision\",\"task\":0,\"backfilled\":true,"
       "\"local_bytes\":7,\"remote_bytes\":3}\n"
       "{\"ev\":\"sim.transfer\",\"bytes\":3}\n");
   const auto ts = obs::summarize_trace(obs::read_trace(in), 1);
@@ -283,7 +283,7 @@ TEST(Trace, SummaryUsesLastPlacePerTask) {
   EXPECT_DOUBLE_EQ(ts.transfer_bytes, 3.0);
   EXPECT_DOUBLE_EQ(ts.final_local_bytes, 7.0);   // last event wins
   EXPECT_DOUBLE_EQ(ts.final_remote_bytes, 3.0);
-  EXPECT_EQ(ts.backfilled[0], 0);
+  EXPECT_EQ(ts.backfilled[0], 1);
 }
 
 TEST(Trace, JoinUpgradesProcessorBlameToBackfill) {

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "obs/profile.hpp"
+#include "obs/provenance.hpp"
 #include "test_util.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -34,11 +36,12 @@ struct TracedRun {
 };
 
 TracedRun run_traced(const std::string& scheme, const TaskGraph& g,
-                     const Cluster& cluster) {
+                     const Cluster& cluster,
+                     obs::Profiler* profiler = nullptr) {
   std::ostringstream buf;
   obs::JsonlSink sink(buf);
   TracedRun out;
-  out.run = evaluate_scheme(scheme, g, cluster, {}, &sink);
+  out.run = evaluate_scheme(scheme, g, cluster, {}, &sink, {}, profiler);
   for (const std::string& line : lines_of(buf.str()))
     out.events.push_back(parse_json(line));
   return out;
@@ -113,8 +116,8 @@ TEST(ObsEvents, LocMpsRunEmitsOnlyDocumentedEventsWithValidEnvelope) {
 
   const std::vector<std::string> taxonomy{
       "locmps.begin",  "locmps.lookahead_begin", "locmps.refine",
-      "locmps.lookahead", "locmps.done",         "locbs.place",
-      "locbs.decision", "sim.transfer"};
+      "locmps.lookahead", "locmps.done",         "locbs.decision",
+      "sim.transfer"};
   std::size_t begins = 0, dones = 0;
   double prev_t = 0.0;
   for (const Json& e : tr.events) {
@@ -142,29 +145,40 @@ TEST(ObsEvents, LocMpsRunEmitsOnlyDocumentedEventsWithValidEnvelope) {
 TEST(ObsEvents, PlacementEventsCarryConsistentFields) {
   const TaskGraph g = small_graph();
   const TracedRun tr = run_traced("loc-mps", g, Cluster(4));
-  std::size_t places = 0;
+  std::size_t decisions = 0;
+  std::vector<const Json*> last(g.num_tasks(), nullptr);
   for (const Json& e : tr.events) {
-    if (e.str_or("ev") != "locbs.place") continue;
-    ++places;
+    if (e.str_or("ev") != "locbs.decision") continue;
+    ++decisions;
     const double task = e.num_or("task", -1.0);
-    EXPECT_GE(task, 0.0);
-    EXPECT_LT(task, static_cast<double>(g.num_tasks()));
+    ASSERT_GE(task, 0.0);
+    ASSERT_LT(task, static_cast<double>(g.num_tasks()));
+    last[static_cast<std::size_t>(task)] = &e;
     EXPECT_GE(e.num_or("np", 0.0), 1.0);
     EXPECT_LE(e.num_or("busy_from", 0.0), e.num_or("start", -1.0));
     EXPECT_LE(e.num_or("start", 0.0), e.num_or("finish", -1.0));
-    EXPECT_GE(e.num_or("holes_scanned", -1.0), 0.0);
+    EXPECT_GE(e.num_or("holes_probed", -1.0), 0.0);
     EXPECT_GE(e.num_or("local_bytes", -1.0), 0.0);
     EXPECT_GE(e.num_or("remote_bytes", -1.0), 0.0);
-    ASSERT_TRUE(e.has("backfill"));
-    EXPECT_TRUE(e.get("backfill")->is(Json::Kind::Bool));
-    EXPECT_FALSE(e.str_or("procs").empty());
+    ASSERT_TRUE(e.has("backfilled"));
+    EXPECT_TRUE(e.get("backfilled")->is(Json::Kind::Bool));
+    EXPECT_FALSE(e.str_or("cands").empty());
   }
-  // Every LoCBS call places every task.
+  // Every LoCBS call places every task, and each placement is one record.
   const double calls = tr.run.counters.counter("locmps.locbs_calls");
   EXPECT_GT(calls, 0.0);
-  EXPECT_EQ(places, static_cast<std::size_t>(calls) * g.num_tasks());
+  EXPECT_EQ(decisions, static_cast<std::size_t>(calls) * g.num_tasks());
   EXPECT_DOUBLE_EQ(tr.run.counters.counter("locbs.tasks_placed"),
-                   static_cast<double>(places));
+                   static_cast<double>(decisions));
+  // The last record per task names the processors the schedule holds.
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    ASSERT_NE(last[t], nullptr) << "task " << t;
+    const auto cands = obs::decode_candidates(last[t]->str_or("cands"));
+    const auto winner = static_cast<std::size_t>(last[t]->num_or("winner", -1));
+    ASSERT_LT(winner, cands.size()) << "task " << t;
+    EXPECT_EQ(cands[winner].procs, tr.run.schedule.at(t).procs.to_vector())
+        << "task " << t;
+  }
 }
 
 // The acceptance test of the decision trace: replaying the per-iteration
@@ -225,7 +239,8 @@ TEST(ObsEvents, DecisionTraceReconstructsFinalAllocation) {
 
 TEST(ObsEvents, CountersAgreeWithTheTrace) {
   const TaskGraph g = small_graph();
-  const TracedRun tr = run_traced("loc-mps", g, Cluster(4));
+  obs::Profiler prof;
+  const TracedRun tr = run_traced("loc-mps", g, Cluster(4), &prof);
   std::size_t refines = 0, lookaheads = 0, transfers = 0;
   double done_calls = -1.0;
   for (const Json& e : tr.events) {
@@ -248,10 +263,11 @@ TEST(ObsEvents, CountersAgreeWithTheTrace) {
                    static_cast<double>(transfers));
   EXPECT_EQ(tr.run.iterations,
             static_cast<std::size_t>(c.counter("scheduler.iterations")));
-  // Phase timers covering the plan and the execution must be present.
-  EXPECT_NE(c.timer("locmps.run"), nullptr);
-  EXPECT_NE(c.timer("locbs.pass"), nullptr);
-  EXPECT_NE(c.timer("sim.execute"), nullptr);
+  // Phase spans covering the plan and the execution must be present.
+  const obs::ProfileSnapshot spans = prof.snapshot();
+  EXPECT_NE(spans.find("harness.plan;locmps.run"), nullptr);
+  EXPECT_NE(spans.find("harness.plan;locmps.run;locbs.pass"), nullptr);
+  EXPECT_NE(spans.find("harness.simulate;sim.execute"), nullptr);
 }
 
 TEST(ObsEvents, SchemesWithoutInstrumentationStillProduceCounters) {

@@ -1,6 +1,6 @@
 /// Decision provenance (obs/provenance.hpp): the "locbs.decision" record
 /// each committed placement emits — encoding round trips, one decision per
-/// placement consistent with its "locbs.place" twin, the seeded
+/// placement consistent with the committed schedule, the seeded
 /// perturbation hook, and the bounded JSONL sink that carries the records
 /// to disk.
 
@@ -180,42 +180,53 @@ TaskGraph small_graph(unsigned seed = 42) {
 TEST(Provenance, EveryPlacementCarriesAConsistentDecision) {
   const TaskGraph g = small_graph();
   const Cluster cluster(8);
-  const auto records = traced_run(g, cluster);
+  LocMPSScheduler sched;
+  std::ostringstream buf;
+  obs::JsonlSink sink(buf);
+  obs::MetricsRegistry reg;
+  obs::ObsContext ctx{&reg, &sink};
+  sched.attach_observability(&ctx);
+  const SchedulerResult res = sched.schedule(g, cluster);
+  std::istringstream in(buf.str());
+  const auto records = obs::read_trace(in);
 
-  // Pair up place/decision records in stream order: the decision follows
-  // its placement and agrees on the realized slot.
-  std::size_t places = 0, decisions = 0;
-  obs::TraceRecord last_place{};
-  bool have_place = false;
+  // One decision per placement: every LoCBS call places every task.
+  std::size_t decisions = 0;
   for (const auto& rec : records) {
-    if (rec.ev == "locbs.place") {
-      ++places;
-      last_place = rec;
-      have_place = true;
-    } else if (rec.ev == "locbs.decision") {
-      ++decisions;
-      obs::PlacementDecision d;
-      ASSERT_TRUE(obs::decision_from_record(rec, d));
-      ASSERT_TRUE(have_place);
-      EXPECT_EQ(static_cast<double>(d.task), last_place.num("task", -1.0));
-      EXPECT_EQ(d.start, last_place.num("start", -1.0));
-      EXPECT_EQ(d.finish, last_place.num("finish", -1.0));
-      // The winner indexes the shortlist and reproduces the committed
-      // slot. Top-level fields travel at %.12g, the shortlist at %.17g,
-      // so compare at the trace's relative precision.
-      ASSERT_LT(d.winner, d.shortlist.size());
-      const auto& win = d.shortlist[d.winner];
-      EXPECT_NEAR(win.start, d.start, 1e-9 * std::max(1.0, d.start));
-      EXPECT_NEAR(win.finish, d.finish, 1e-9 * std::max(1.0, d.finish));
-      EXPECT_EQ(win.procs.size(), d.np);
-      EXPECT_GE(d.candidates_scored, d.shortlist.size());
-      for (std::size_t i = 1; i < d.shortlist.size(); ++i)
-        EXPECT_LE(d.shortlist[i - 1].finish, d.shortlist[i].finish);
-      if (d.margin >= 0.0) EXPECT_GE(d.candidates_scored, 2u);
-    }
+    obs::PlacementDecision d;
+    if (!obs::decision_from_record(rec, d)) continue;
+    ++decisions;
+    // The winner indexes the shortlist and reproduces the committed
+    // slot. Top-level fields travel at %.12g, the shortlist at %.17g,
+    // so compare at the trace's relative precision.
+    ASSERT_LT(d.winner, d.shortlist.size());
+    const auto& win = d.shortlist[d.winner];
+    EXPECT_NEAR(win.start, d.start, 1e-9 * std::max(1.0, d.start));
+    EXPECT_NEAR(win.finish, d.finish, 1e-9 * std::max(1.0, d.finish));
+    EXPECT_NEAR(win.busy_from, d.busy_from,
+                1e-9 * std::max(1.0, d.busy_from));
+    EXPECT_EQ(win.procs.size(), d.np);
+    EXPECT_GE(d.candidates_scored, d.shortlist.size());
+    for (std::size_t i = 1; i < d.shortlist.size(); ++i)
+      EXPECT_LE(d.shortlist[i - 1].finish, d.shortlist[i].finish);
+    if (d.margin >= 0.0) EXPECT_GE(d.candidates_scored, 2u);
   }
-  EXPECT_GT(places, 0u);
-  EXPECT_EQ(places, decisions);
+  const double calls = reg.value("locmps.locbs_calls");
+  EXPECT_GT(calls, 0.0);
+  EXPECT_EQ(decisions, static_cast<std::size_t>(calls) * g.num_tasks());
+  EXPECT_EQ(reg.value("locbs.tasks_placed"), static_cast<double>(decisions));
+
+  // The last decision per task is the committed placement.
+  const auto final = obs::final_decisions(records, g.num_tasks());
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    ASSERT_TRUE(final[t].valid()) << "task " << t;
+    const Placement& p = res.schedule.at(t);
+    EXPECT_EQ(final[t].shortlist[final[t].winner].procs, p.procs.to_vector())
+        << "task " << t;
+    EXPECT_EQ(final[t].np, p.np()) << "task " << t;
+    EXPECT_NEAR(final[t].finish, p.finish, 1e-9 * std::max(1.0, p.finish))
+        << "task " << t;
+  }
 }
 
 TEST(Provenance, PerturbHookAdoptsTheRunnerUp) {

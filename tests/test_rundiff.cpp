@@ -7,12 +7,17 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hpp"
 #include "obs/analysis.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -68,6 +73,79 @@ TEST(RunDiff, SelfDiffIsExactlyZero) {
   std::ostringstream json;
   obs::write_diff_json(json, g, v, v, d);
   EXPECT_NE(json.str().find("\"delta\":0"), std::string::npos);
+}
+
+/// Keeps the last "locbs.decision" event per task, the filter the
+/// committed baseline trace was cut with.
+class FinalDecisionSink final : public obs::EventSink {
+ public:
+  explicit FinalDecisionSink(std::size_t num_tasks) : last_(num_tasks) {}
+  void emit(const obs::Event& e) override {
+    if (e.name() != "locbs.decision") return;
+    const auto& [key, task] = e.fields().front();
+    ASSERT_EQ(key, "task");
+    last_.at(static_cast<std::size_t>(std::get<std::int64_t>(task))) = e;
+  }
+  /// The kept records as a read-back trace.
+  std::vector<obs::TraceRecord> records() const {
+    std::ostringstream buf;
+    obs::JsonlSink out(buf);
+    for (const std::optional<obs::Event>& e : last_)
+      if (e) out.emit(*e);
+    std::istringstream in(buf.str());
+    return obs::read_trace(in);
+  }
+
+ private:
+  std::vector<std::optional<obs::Event>> last_;
+};
+
+// bench/baselines/fig06_decision_trace.jsonl predates decision-only
+// traces: every placement there is a "locbs.place" line followed by its
+// "locbs.decision". Readers take the decision alone, so the old file and
+// a fresh trace of the same workload (locmps-inspect --seed 20060901
+// --ccr 0.5 --procs 16) must read back identically.
+TEST(RunDiff, CommittedBaselineTraceReadsLikeAFreshOne) {
+  std::ifstream committed_in(std::string(LOCMPS_SOURCE_DIR) +
+                             "/bench/baselines/fig06_decision_trace.jsonl");
+  ASSERT_TRUE(committed_in.good());
+  const auto committed = obs::read_trace(committed_in);
+  std::size_t twins = 0;
+  for (const obs::TraceRecord& r : committed) twins += r.ev == "locbs.place";
+  ASSERT_GT(twins, 0u) << "the baseline no longer exercises old traces";
+
+  SyntheticParams p;
+  p.ccr = 0.5;
+  p.max_procs = 32;
+  Rng rng(20060901);
+  const TaskGraph g = make_synthetic_dag(p, rng);
+  FinalDecisionSink sink(g.num_tasks());
+  (void)evaluate_scheme("loc-mps", g, Cluster(16), {}, &sink);
+  const auto fresh = sink.records();
+  for (const obs::TraceRecord& r : fresh) ASSERT_EQ(r.ev, "locbs.decision");
+
+  const obs::RunView a = obs::run_view(committed, g.num_tasks());
+  const obs::RunView b = obs::run_view(fresh, g.num_tasks());
+  EXPECT_EQ(a.makespan, b.makespan);
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    const obs::TaskRun& x = a.tasks[t];
+    const obs::TaskRun& y = b.tasks[t];
+    ASSERT_TRUE(x.placed && y.placed) << "task " << t;
+    EXPECT_EQ(x.np, y.np) << "task " << t;
+    EXPECT_EQ(x.procs, y.procs) << "task " << t;
+    EXPECT_EQ(x.busy_from, y.busy_from) << "task " << t;
+    EXPECT_EQ(x.start, y.start) << "task " << t;
+    EXPECT_EQ(x.finish, y.finish) << "task " << t;
+    EXPECT_EQ(x.remote_bytes, y.remote_bytes) << "task " << t;
+  }
+  EXPECT_TRUE(obs::diff_runs(g, a, b).diverged.empty());
+
+  const obs::TraceSummary sa = obs::summarize_trace(committed, g.num_tasks());
+  const obs::TraceSummary sb = obs::summarize_trace(fresh, g.num_tasks());
+  EXPECT_EQ(sa.place_events, g.num_tasks());  // the twins are skipped
+  EXPECT_EQ(sa.final_local_bytes, sb.final_local_bytes);
+  EXPECT_EQ(sa.final_remote_bytes, sb.final_remote_bytes);
+  EXPECT_EQ(sa.backfilled, sb.backfilled);
 }
 
 TEST(RunDiff, TaskCountMismatchThrows) {

@@ -7,6 +7,7 @@
 
 #include "core/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "schedulers/task_parallel.hpp"
 #include "test_util.hpp"
 #include "workloads/synthetic.hpp"
@@ -33,16 +34,22 @@ void expect_non_negative_times(const std::vector<Json>& events) {
   }
 }
 
-/// Builds a planner snapshot with two timers (one nested) and a series.
+/// Builds a planner snapshot with one counter series.
 obs::MetricsSnapshot sample_planner() {
   obs::MetricsRegistry m;
-  {
-    obs::ScopedTimer outer(&m, "plan");
-    obs::ScopedTimer inner(&m, "plan.inner");
-  }
   m.sample("makespan", 20.0);
   m.sample("makespan", 15.0);
   return m.snapshot();
+}
+
+/// Builds a profile with two nested phase spans.
+obs::ProfileSnapshot sample_profile() {
+  obs::Profiler prof;
+  {
+    auto outer = prof.span("plan");
+    auto inner = prof.span("plan.inner");
+  }
+  return prof.snapshot();
 }
 
 TEST(TraceExport, EmitsSlicesForEveryProcessorOfATask) {
@@ -94,15 +101,19 @@ TEST(TraceExport, RejectsIncompleteSchedule) {
                std::invalid_argument);
 }
 
+// Phase timing reaches the planner track as the profiler's span thread.
 TEST(TraceExport, PlannerTrackRendersTimersAndCounterSeries) {
   const TaskGraph g = test::chain(1, 5.0, 2, 0.0);
   Schedule s(1, 2);
   s.place(0, 0, 0, 5, ProcessorSet::of(2, {0, 1}));
   const obs::MetricsSnapshot planner = sample_planner();
-  const auto events = trace_events(chrome_trace(g, s, planner));
+  const obs::ProfileSnapshot profile = sample_profile();
+  std::ostringstream os;
+  write_chrome_trace(os, g, s, &planner, &profile);
+  const auto events = trace_events(os.str());
 
   bool planner_process = false, schedule_process = false;
-  bool plan_thread = false, plan_slice = false;
+  bool span_thread = false, plan_slice = false;
   std::size_t counter_points = 0;
   for (const Json& e : events) {
     const std::string name = e.str_or("name");
@@ -116,8 +127,8 @@ TEST(TraceExport, PlannerTrackRendersTimersAndCounterSeries) {
         schedule_process = true;
     }
     if (ph == "M" && name == "thread_name" && pid == 1.0 &&
-        args != nullptr && args->str_or("name") == "plan")
-      plan_thread = true;
+        args != nullptr && args->str_or("name") == "profile.spans")
+      span_thread = true;
     if (ph == "X" && pid == 1.0 && name == "plan") plan_slice = true;
     if (ph == "C" && pid == 1.0 && name == "makespan") {
       ++counter_points;
@@ -127,7 +138,7 @@ TEST(TraceExport, PlannerTrackRendersTimersAndCounterSeries) {
   }
   EXPECT_TRUE(planner_process);
   EXPECT_TRUE(schedule_process);
-  EXPECT_TRUE(plan_thread);
+  EXPECT_TRUE(span_thread);
   EXPECT_TRUE(plan_slice);
   EXPECT_EQ(counter_points, 2u);
   expect_non_negative_times(events);
@@ -138,7 +149,7 @@ TEST(TraceExport, EmptySchedulePlannerTraceIsWellFormed) {
   const Schedule s(0, 2);
   const obs::MetricsSnapshot planner = sample_planner();
   const auto events = trace_events(chrome_trace(g, s, planner));
-  // Only metadata, planner slices and counters — all with valid times.
+  // Only metadata and counters — all with valid times.
   EXPECT_FALSE(events.empty());
   expect_non_negative_times(events);
   for (const Json& e : events)
@@ -148,16 +159,20 @@ TEST(TraceExport, EmptySchedulePlannerTraceIsWellFormed) {
 TEST(TraceExport, NoOverlapModelTraceHasNonNegativeDurations) {
   // A no-overlap platform stretches receive windows (busy_from < start);
   // the exported trace must stay parsable with non-negative times, both
-  // for the schedule slices and the planner track from the real run.
+  // for the schedule slices and the planner's spans from the real run.
   SyntheticParams p;
   p.ccr = 1.0;
   p.max_procs = 4;
   Rng rng(11);
   const TaskGraph g = make_synthetic_dag(p, rng);
-  const SchemeRun run = evaluate_scheme(
-      "loc-mps", g, Cluster(4, kFastEthernetBytesPerSec, false));
-  const auto events = trace_events(chrome_trace(g, run.schedule,
-                                                run.counters));
+  obs::Profiler prof;
+  const SchemeRun run =
+      evaluate_scheme("loc-mps", g, Cluster(4, kFastEthernetBytesPerSec, false),
+                      {}, nullptr, {}, &prof);
+  const obs::ProfileSnapshot profile = prof.snapshot();
+  std::ostringstream os;
+  write_chrome_trace(os, g, run.schedule, &run.counters, &profile);
+  const auto events = trace_events(os.str());
   expect_non_negative_times(events);
   bool has_schedule_slice = false, has_planner_slice = false;
   for (const Json& e : events) {
