@@ -25,7 +25,8 @@
 /// machine-readable summary of every recorded Comparison — per-scheme
 /// makespan / relative-performance / SLR statistics with medians and
 /// distribution-free (order-statistic) confidence intervals, scheduling
-/// times, the git SHA and a UTC timestamp. scripts/bench_diff.py compares
+/// times, the git SHA, a UTC timestamp and the machine fingerprint (nproc,
+/// CPU model, build type, LOCMPS_PROFILE). scripts/bench_diff.py compares
 /// two such files and flags regressions.
 
 #include <algorithm>
@@ -35,7 +36,9 @@
 #include <iostream>
 #include <map>
 #include <span>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -313,6 +316,33 @@ inline void write_telemetry() { telemetry().write(); }
 
 namespace detail {
 
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon == std::string::npos) break;
+      const auto begin = line.find_first_not_of(' ', colon + 1);
+      return begin == std::string::npos ? "unknown" : line.substr(begin);
+    }
+  return "unknown";
+}
+
+/// The `"machine"` envelope field: what produced the numbers. Wall-clock
+/// figures compare only between documents with equal fingerprints
+/// (scripts/bench_diff.py warns otherwise).
+inline std::string machine_fingerprint() {
+  std::ostringstream os;
+  os << "{\"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"cpu_model\": \"" << obs::json_escape(cpu_model())
+     << "\", \"build_type\": \"" << LOCMPS_BUILD_TYPE
+     << "\", \"locmps_profile\": "
+     << (obs::alloc_counting_enabled() ? "true" : "false") << "}";
+  return os.str();
+}
+
 inline std::string iso_utc_now() {
   // Telemetry metadata timestamp, never a scheduling input: the harness
   // stamps when a BENCH_*.json was produced. LINT-ALLOW(nondet-source)
@@ -353,6 +383,7 @@ inline void BenchTelemetry::write() const {
      << "  \"bench\": \"" << name_ << "\",\n"
      << "  \"git_sha\": \"" << LOCMPS_GIT_SHA << "\",\n"
      << "  \"timestamp\": \"" << detail::iso_utc_now() << "\",\n"
+     << "  \"machine\": " << detail::machine_fingerprint() << ",\n"
      << "  \"graphs\": " << suite_size() << ",\n"
      << "  \"full_scale\": " << (full_scale() ? "true" : "false") << ",\n"
      << "  \"peak_rss_bytes\": " << obs::peak_rss_bytes() << ",\n"
@@ -503,6 +534,7 @@ inline void dump_profile_run(const ProfileOut& po,
      << "  \"kind\": \"profile\",\n"
      << "  \"git_sha\": \"" << LOCMPS_GIT_SHA << "\",\n"
      << "  \"timestamp\": \"" << detail::iso_utc_now() << "\",\n"
+     << "  \"machine\": " << detail::machine_fingerprint() << ",\n"
      << "  \"scheme\": \"" << scheme << "\",\n"
      << "  \"reps\": " << std::max<std::size_t>(1, po.reps) << ",\n"
      << "  \"tasks\": " << g.num_tasks() << ",\n"

@@ -53,6 +53,11 @@ had allocation tracking compiled in). A changed span `count` is
 reported as a warning — counts are deterministic, so a change means the
 planner's control flow changed. Mixing a profile document with a
 telemetry document is a usage error (exit 2).
+
+Machine fingerprints: every document carries a `machine` object (nproc,
+CPU model, build type, LOCMPS_PROFILE). When the two sides' fingerprints
+differ, or only one side has one, a WARNING says that wall-clock deltas
+may not be comparable; it never changes the exit code.
 """
 
 import argparse
@@ -224,6 +229,26 @@ def check_speedup_gates(cand_doc, specs, stat):
     return failures
 
 
+def warn_machine(base_doc, cand_doc):
+    """Wall-clock numbers only compare between runs on one machine and
+    build: warn when the two documents' `machine` fingerprints differ
+    (or one lacks it). Never changes the exit code."""
+    base, cand = base_doc.get("machine"), cand_doc.get("machine")
+    if base is None or cand is None:
+        if base is not None or cand is not None:
+            side = "baseline" if base is None else "candidate"
+            print(f"bench_diff: WARNING: the {side} has no machine "
+                  "fingerprint; wall-clock deltas may not be comparable")
+        return
+    changed = [f"{k} {base.get(k)!r} vs {cand.get(k)!r}"
+               for k in sorted(set(base) | set(cand))
+               if base.get(k) != cand.get(k)]
+    if changed:
+        print("bench_diff: WARNING: machine fingerprints differ ("
+              + "; ".join(changed)
+              + "); wall-clock deltas may not be comparable")
+
+
 def diff_profiles(base_doc, cand_doc, args):
     """Compares two phase-budget profile documents and exits."""
     base, cand = phase_rows(base_doc), phase_rows(cand_doc)
@@ -346,6 +371,7 @@ def main():
     print(f"candidate: {args.candidate} "
           f"(git {cand_doc.get('git_sha', '?')}, "
           f"{cand_doc.get('timestamp', '?')})")
+    warn_machine(base_doc, cand_doc)
 
     base_prof = base_doc.get("kind") == "profile" or "phases" in base_doc
     cand_prof = cand_doc.get("kind") == "profile" or "phases" in cand_doc

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <istream>
 #include <stdexcept>
 
 #include "network/block_cyclic.hpp"
+#include "obs/log.hpp"
 
 namespace locmps::obs {
 
@@ -515,8 +517,8 @@ TraceSummary summarize_trace(const std::vector<TraceRecord>& records,
                              std::size_t num_tasks) {
   TraceSummary ts;
   ts.backfilled.assign(num_tasks, 0);
-  // The last "locbs.decision" per task belongs to the final (adopted)
-  // LoCBS pass: LoC-MPS ends on a realization of the best allocation.
+  // The last "locbs.decision" per task belongs to the final LoCBS pass:
+  // LoC-MPS ends on one realization of the adopted allocation.
   // Older traces also carry a "locbs.place" twin of every decision; it
   // holds nothing the decision lacks and is skipped.
   std::vector<char> placed(num_tasks, 0);
@@ -579,6 +581,33 @@ TraceSummary summarize_trace(const std::vector<TraceRecord>& records,
     ts.final_remote_bytes += remote[t];
   }
   return ts;
+}
+
+BookReconciler::BookReconciler(double trace_dropped)
+    : trace_dropped_(trace_dropped) {
+  if (!trace_checked())
+    log(LogLevel::kWarn, "reconcile")
+        << "trace truncated (" << static_cast<std::uint64_t>(trace_dropped)
+        << " events dropped): trace-side checks skipped";
+}
+
+bool BookReconciler::check(std::string_view what, double counter,
+                           double traced, double result) {
+  const bool with_trace = trace_checked();
+  const double scale =
+      std::max({1.0, std::fabs(counter), std::fabs(result),
+                with_trace ? std::fabs(traced) : 0.0});
+  const bool agree =
+      (!with_trace || std::fabs(counter - traced) <= 1e-9 * scale) &&
+      std::fabs(counter - result) <= 1e-9 * scale;
+  if (!agree) {
+    LogLine line = log(LogLevel::kError, "reconcile");
+    line << what << " mismatch: counter " << counter;
+    if (with_trace) line << ", trace " << traced;
+    line << ", result " << result;
+    ok_ = false;
+  }
+  return agree;
 }
 
 void join_trace(ScheduleAnalysis& a, const TraceSummary& t) {

@@ -16,6 +16,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/task_graph.hpp"
@@ -359,6 +360,30 @@ struct TraceSummary {
 /// Digests \p records for a schedule of \p num_tasks tasks.
 TraceSummary summarize_trace(const std::vector<TraceRecord>& records,
                              std::size_t num_tasks);
+
+/// Three-book reconciliation of a run's accounting: each quantity's
+/// metrics counter must equal its tally in the decision trace and the
+/// run's own result (relative tolerance 1e-9); mismatches are logged as
+/// errors. A trace cut at a bounded sink's line cap under-counts, so when
+/// \p trace_dropped > 0 the constructor logs "trace truncated (N events
+/// dropped): trace-side checks skipped" and check() compares only the
+/// counter with the result.
+class BookReconciler {
+ public:
+  explicit BookReconciler(double trace_dropped);
+
+  /// Reconciles one quantity; false (and logged) on a mismatch.
+  bool check(std::string_view what, double counter, double traced,
+             double result);
+
+  bool ok() const { return ok_; }
+  /// False when the trace side was skipped (truncated trace).
+  bool trace_checked() const { return trace_dropped_ <= 0.0; }
+
+ private:
+  double trace_dropped_;
+  bool ok_ = true;
+};
 
 /// Joins \p t into \p a: Processor blame whose culprit was backfilled is
 /// upgraded to BlameKind::Backfill.

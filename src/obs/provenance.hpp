@@ -116,8 +116,9 @@ Event decision_event(const PlacementDecision& d);
 bool decision_from_record(const TraceRecord& rec, PlacementDecision& out);
 
 /// The final decision per task: the last "locbs.decision" record each
-/// task received (LoC-MPS re-realizes allocations, so earlier passes are
-/// superseded). Tasks without a record stay invalid (task == kNoTask).
+/// task received (LoC-MPS ends on a realization of the adopted
+/// allocation, which supersedes every trial pass). Tasks without a record
+/// stay invalid (task == kNoTask).
 std::vector<PlacementDecision> final_decisions(
     const std::vector<TraceRecord>& records, std::size_t num_tasks);
 

@@ -31,47 +31,6 @@ void Timeline::occupy(const ProcessorSet& procs, double start, double end) {
   });
 }
 
-void Timeline::release(const ProcessorSet& procs, double start, double end) {
-  if (end <= start) return;  // zero-length bookings were never stored
-  ++epoch_;
-  procs.for_each([&](ProcId q) {
-    auto& v = busy_[q];
-    const Interval iv{start, end};
-    auto it = std::lower_bound(
-        v.begin(), v.end(), iv,
-        [](const Interval& a, const Interval& b) { return a.start < b.start; });
-    // Exact identity lookup: a release must name bounds bit-equal to the
-    // booking that stored them (callers pass back the booked values, never
-    // recomputed ones), so tolerance matching would be a bug mask.
-    assert(it != v.end() && it->start == start &&  // LINT-ALLOW(float-eq)
-           it->end == end);                        // LINT-ALLOW(float-eq)
-    if (it != v.end() && it->start == start &&  // LINT-ALLOW(float-eq)
-        it->end == end)                         // LINT-ALLOW(float-eq)
-      v.erase(it);
-  });
-}
-
-bool Timeline::is_free(ProcId q, double start, double end) const {
-  const auto& v = busy_[q];
-  // First interval ending after `start` is the only one that can overlap
-  // [start, end): everything before it ended by `start`, everything after
-  // it starts no earlier than it does.
-  auto it = std::upper_bound(
-      v.begin(), v.end(), start,
-      [](double x, const Interval& iv) { return x < iv.end; });
-  return it == v.end() || it->start >= end;
-}
-
-double Timeline::free_until(ProcId q, double t) const {
-  const auto& v = busy_[q];
-  // First interval with start > t; the previous one must have ended by t.
-  auto it = std::upper_bound(
-      v.begin(), v.end(), t,
-      [](double x, const Interval& iv) { return x < iv.start; });
-  if (it != v.begin() && std::prev(it)->end > t) return -1.0;  // busy at t
-  return it == v.end() ? kForever : it->start;
-}
-
 double Timeline::latest_free_time(ProcId q) const {
   const auto& v = busy_[q];
   return v.empty() ? 0.0 : v.back().end;
@@ -98,21 +57,6 @@ std::vector<Timeline::Hole> Timeline::holes(ProcId q, double horizon) const {
   }
   if (cursor < horizon) out.push_back(Hole{cursor, horizon});
   return out;
-}
-
-std::vector<Timeline::FreeProc> Timeline::available_at(double t) const {
-  std::vector<FreeProc> out;
-  available_at(t, out);
-  return out;
-}
-
-void Timeline::available_at(double t, std::vector<FreeProc>& out) const {
-  out.clear();
-  out.reserve(busy_.size());
-  for (ProcId q = 0; q < busy_.size(); ++q) {
-    const double until = free_until(q, t);
-    if (until >= 0.0) out.push_back(FreeProc{q, until});
-  }
 }
 
 void Timeline::Sweep::available_at(double t, std::vector<FreeProc>& out) {
@@ -145,7 +89,7 @@ void Timeline::Sweep::available_at(double t, std::vector<FreeProc>& out) {
     } else if (v[i].start > t) {
       out.push_back(FreeProc{q, v[i].start});
     }
-    // else: v[i].start <= t < v[i].end — busy, matching free_until < 0.
+    // else: v[i].start <= t < v[i].end — busy at t.
   }
 }
 

@@ -42,20 +42,6 @@ class Timeline {
   /// by assertion in debug builds).
   void occupy(const ProcessorSet& procs, double start, double end);
 
-  /// Reverses a prior occupy(): erases the booking [start, end) from every
-  /// processor in \p procs. The exact interval must have been booked
-  /// (bookings are never split or merged, so it survives verbatim);
-  /// asserted in debug builds, a per-processor no-op when absent in
-  /// release builds.
-  void release(const ProcessorSet& procs, double start, double end);
-
-  /// True when \p q is idle throughout [start, end).
-  [[nodiscard]] bool is_free(ProcId q, double start, double end) const;
-
-  /// If \p q is idle at time \p t: the time at which it next becomes busy
-  /// (kForever if never). If busy at \p t: returns a negative value.
-  [[nodiscard]] double free_until(ProcId q, double t) const;
-
   /// Latest time at which \p q ceases to be busy (0 if never booked). The
   /// processor is guaranteed free from this time on.
   [[nodiscard]] double latest_free_time(ProcId q) const;
@@ -71,12 +57,6 @@ class Timeline {
     ProcId proc;
     double until;  ///< next busy start, or kForever
   };
-
-  /// All processors idle at time \p t, each with its free-until horizon.
-  [[nodiscard]] std::vector<FreeProc> available_at(double t) const;
-
-  /// Allocation-free variant for hot loops: fills \p out.
-  void available_at(double t, std::vector<FreeProc>& out) const;
 
   /// An idle window on one processor.
   struct Hole {
@@ -99,13 +79,14 @@ class Timeline {
   /// last probe and only advances it, so a whole ascending scan costs
   /// O(P + intervals) instead of O(P log I) per probe. Any timeline
   /// mutation (detected through the epoch counter) or a non-monotone
-  /// query transparently re-seeks, so results are always identical to
-  /// Timeline::available_at.
+  /// query transparently re-seeks, so results never depend on the probe
+  /// history.
   class Sweep {
    public:
     explicit Sweep(const Timeline& tl) : tl_(&tl), idx_(tl.num_procs(), 0) {}
 
-    /// Same result as tl.available_at(t, out).
+    /// Fills \p out with every processor idle at time \p t, in processor
+    /// order, each with its free-until horizon.
     void available_at(double t, std::vector<FreeProc>& out);
 
    private:
@@ -123,7 +104,7 @@ class Timeline {
   // Per-processor busy intervals kept sorted by start; disjointness makes
   // the end times sorted as well (the invariant the Sweep cursor rides).
   std::vector<std::vector<Interval>> busy_;
-  // Bumped by every occupy()/release() so cursors know to re-seek.
+  // Bumped by every occupy() so cursors know to re-seek.
   std::uint64_t epoch_ = 0;
 };
 

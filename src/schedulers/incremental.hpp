@@ -86,8 +86,8 @@ class IncrementalContext {
  public:
   /// Recent evaluations kept as replay bases. Records share their step
   /// storage, so keeping a few extra bases is cheap and lets a look-ahead
-  /// walk replay against the incumbent realization as well as its own
-  /// previous step.
+  /// walk replay against the incumbent's adopted evaluation as well as its
+  /// own previous step.
   static constexpr std::size_t kMaxRecords = 8;
 
   /// The record with the longest np-compatible step prefix for \p np, or

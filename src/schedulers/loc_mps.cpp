@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -53,8 +51,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   if (met != nullptr)
     comm.count_evals_into(met->cell_ptr("comm.cost_evals"));
   const ConcurrencyAnalysis conc(g);
-  // Search tracing for development; enable with LOCMPS_DEBUG=1.
-  const bool debug = std::getenv("LOCMPS_DEBUG") != nullptr;
 
   // On a degraded cluster (faults/recovery.hpp) non-frozen tasks can only
   // be as wide as the survivor set.
@@ -83,8 +79,8 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // The refinement search always runs unperturbed: a mid-search placement
   // flip would diverge the whole trajectory and smear a seeded divergence
   // across many tasks. The perturb_task hook (locbs.hpp) is applied only
-  // in one extra final realization below, so a perturbed run differs from
-  // its baseline by exactly that flip.
+  // in the final realization below, so a perturbed run differs from its
+  // baseline by exactly that flip.
   LocBSOptions lopt = opt_.locbs;
   const TaskId perturb = lopt.perturb_task;
   lopt.perturb_task = kNoTask;
@@ -211,10 +207,10 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
     return std::nullopt;
   };
 
-  // Termination test (Alg. 1 step 40): every critical-path task saturated
-  // or marked, and (when comm-aware) every refinable path edge marked.
-  auto exhausted_now = [&]() -> bool {
-    const CriticalPathInfo cp = best_run.dag.critical_path();
+  // Termination test (Alg. 1 step 40): every task on the incumbent's
+  // critical path \p cp saturated or marked, and (when comm-aware) every
+  // refinable path edge marked.
+  auto exhausted_now = [&](const CriticalPathInfo& cp) -> bool {
     for (TaskId t : cp.tasks)
       if (best_alloc[t] < cap[t] && !marked_task[t]) return false;
     if (!comm_aware) return true;
@@ -229,19 +225,21 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
     return true;
   };
 
+  // The incumbent's critical path: it changes only when a round improves.
+  auto incumbent_path = [&] {
+    LOCMPS_SPAN(obs, "locmps.critical_path");
+    return best_run.dag.critical_path();
+  };
+  CriticalPathInfo best_cp = incumbent_path();
+
   // Main repeat-until loop (Alg. 1 steps 5-40): one look-ahead round per
-  // iteration, then commit-or-mark, re-realization of the incumbent, and
-  // the termination test.
+  // iteration, then commit-or-mark and the termination test.
   std::size_t round = 0;
   while (calls < opt_.max_locbs_calls) {
     ++round;
-    CriticalPathInfo cp;
-    {
-      LOCMPS_SPAN(obs, "locmps.critical_path");
-      cp = best_run.dag.critical_path();
-    }
     // The round's entry point always respects the marks.
     Allocation np = best_alloc;
+    CriticalPathInfo cp = best_cp;
     std::optional<Refinement> step =
         refine(cp, best_run.dag, np, /*respect_marks=*/true);
     if (!step) {
@@ -258,7 +256,7 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
 
     // Look-ahead walk (Alg. 1 steps 15-30): up to look_ahead_depth
     // refinements, passing through worse schedules; every strictly better
-    // allocation becomes the incumbent on the spot.
+    // allocation becomes the incumbent on the spot, realization included.
     {
       LOCMPS_SPAN(obs, "locmps.walk");
       if (obs::wants_events(obs))
@@ -285,6 +283,7 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
         if (adopted) {
           best_alloc = np;
           best_sl = cur->makespan;
+          best_run = *cur;
         }
         if (obs::wants_events(obs)) {
           // One event per refinement: the critical-path diagnosis, the
@@ -339,12 +338,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
 
     // Commit-or-mark (Alg. 1 steps 31-38).
     const bool improved = best_sl < old_sl;
-    if (debug)
-      std::fprintf(stderr,
-                   "loc-mps: old=%.6f best=%.6f %s entry=%s%u calls=%zu\n",
-                   old_sl, best_sl, improved ? "commit" : "mark",
-                   entry.is_task ? "t" : "e",
-                   entry.is_task ? entry.task : entry.edge, calls);
     if (improved) {
       std::fill(marked_task.begin(), marked_task.end(), 0);
       std::fill(marked_edge.begin(), marked_edge.end(), 0);
@@ -370,27 +363,23 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
               .with("old", old_sl)
               .with("best", best_sl));
 
-    // Re-realize the best allocation (incremental replay makes an
-    // unchanged allocation cheap); its critical path drives termination.
-    best_run = locbs(g, best_alloc, comm, lopt, fixed, obs, sincr);
-    ++calls;
     if (met != nullptr) {
       met->sample("locmps.best_makespan", best_sl);
       met->sample("locmps.locbs_calls", static_cast<double>(calls));
     }
-    if (exhausted_now()) break;
+    if (improved) best_cp = incumbent_path();
+    if (exhausted_now(best_cp)) break;
   }
 
-  // The refinement loop's last LoCBS evaluation always realizes
-  // best_alloc, so a trace's last "locbs.decision" record per task is
-  // exactly the committed schedule — rundiff and `--explain` read
-  // precisely those. An armed perturb_task takes effect in one extra
-  // final realization (and only there).
-  if (perturb != kNoTask) {
-    best_run = locbs(g, best_alloc, comm, opt_.locbs, fixed, obs);
-    best_sl = best_run.makespan;
-    ++calls;
-  }
+  // One final realization of best_alloc, so a trace's last
+  // "locbs.decision" record per task is exactly the committed schedule —
+  // rundiff and `--explain` read precisely those. An armed perturb_task
+  // takes effect here and only here; that pass neither reads nor records
+  // replay state, so the flip is its sole difference from the search.
+  best_run = locbs(g, best_alloc, comm, opt_.locbs, fixed, obs,
+                   perturb == kNoTask ? sincr : nullptr);
+  best_sl = best_run.makespan;
+  ++calls;
 
   if (met != nullptr) {
     met->set("locmps.locbs_calls", static_cast<double>(calls));

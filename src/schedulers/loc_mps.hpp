@@ -14,7 +14,9 @@
 /// A bounded look-ahead (default 20 refinements) may pass through worse
 /// schedules to escape local minima (Section III-E); a look-ahead that ends
 /// no better than it started marks its entry task/edge as a bad starting
-/// point. The schedule for each trial allocation comes from LoCBS.
+/// point. The schedule for each trial allocation comes from one LoCBS
+/// call; the incumbent keeps the schedule it was adopted with, and one
+/// final realization of it closes the run.
 
 #include "schedulers/locbs.hpp"
 #include "schedulers/scheduler.hpp"
@@ -41,8 +43,9 @@ struct LocMPSOptions {
   /// Scheduler used to realize each trial allocation.
   LocBSOptions locbs;
 
-  /// Safety valve: hard cap on LoCBS invocations (the algorithm converges
-  /// long before this on the paper's workloads).
+  /// Safety valve: cap on the LoCBS invocations of the search (the
+  /// algorithm converges long before this on the paper's workloads). The
+  /// final realization comes on top, so a run makes at most cap + 1.
   std::size_t max_locbs_calls = 100000;
 
   /// Incremental replanning (docs/incremental.md): successive LoCBS

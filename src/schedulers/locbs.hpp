@@ -55,8 +55,8 @@ struct LocBSOptions {
   /// flip whose makespan effect `locmps-inspect --diff` must attribute
   /// back to this decision. No-op when the scan produced no distinct
   /// alternative. kNoTask (the default) disables the hook; LoC-MPS keeps
-  /// its refinement search unperturbed and applies the flip only in one
-  /// extra final realization (schedulers/loc_mps.cpp).
+  /// its refinement search unperturbed and applies the flip only in its
+  /// final realization of the adopted allocation (schedulers/loc_mps.cpp).
   TaskId perturb_task = kNoTask;
 };
 

@@ -45,7 +45,8 @@ struct SchedulerOptions {
   bool incremental = true;
 
   /// When > 0, caps the planner's refinement budget (LoCBS invocations for
-  /// LoC-MPS-backed schemes). Bounds planning time on very large graphs —
+  /// LoC-MPS-backed schemes: at most plan_budget + 1, the final
+  /// realization included). Bounds planning time on very large graphs —
   /// the |V| >= 2000 fig10 panel runs under such a cap. 0 (the default)
   /// keeps each scheme's own safety valve. Ignored by one-shot schemes.
   std::size_t plan_budget = 0;

@@ -12,6 +12,7 @@
 #include "core/experiment.hpp"
 #include "network/block_cyclic.hpp"
 #include "obs/events.hpp"
+#include "obs/log.hpp"
 #include "test_util.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -284,6 +285,58 @@ TEST(Trace, SummaryUsesLastPlacePerTask) {
   EXPECT_DOUBLE_EQ(ts.final_local_bytes, 7.0);   // last event wins
   EXPECT_DOUBLE_EQ(ts.final_remote_bytes, 3.0);
   EXPECT_EQ(ts.backfilled[0], 1);
+}
+
+TEST(Trace, TruncatedTraceSkipsTraceSideReconciliation) {
+  // Five fault kills through a sink capped at three lines: the trace
+  // tallies three, the counter and the result five.
+  std::ostringstream out;
+  obs::JsonlSink sink(out, /*max_lines=*/3);
+  for (int i = 0; i < 5; ++i)
+    sink.emit(obs::Event("fault.kill").with("kind", "task").with("wasted_s",
+                                                                 1.0));
+  ASSERT_EQ(sink.dropped(), 2u);
+  std::istringstream in(out.str());
+  const auto ts = obs::summarize_trace(obs::read_trace(in), 1);
+  ASSERT_EQ(ts.fault_kills, 3u);
+  const double traced = static_cast<double>(ts.fault_kills);
+
+  std::ostringstream log;
+  obs::set_log_stream(&log);
+  obs::set_log_level(obs::LogLevel::kInfo);
+  {
+    obs::BookReconciler books(static_cast<double>(sink.dropped()));
+    EXPECT_FALSE(books.trace_checked());
+    EXPECT_TRUE(books.check("fault.kills", 5.0, traced, 5.0));
+    EXPECT_TRUE(books.ok());
+    // The counter is still held to the result.
+    EXPECT_FALSE(books.check("fault.kills", 5.0, traced, 4.0));
+    EXPECT_FALSE(books.ok());
+  }
+  const std::string truncated = log.str();
+  log.str("");
+  {
+    // A complete trace with the same tally is a real mismatch.
+    obs::BookReconciler books(0.0);
+    EXPECT_TRUE(books.trace_checked());
+    EXPECT_FALSE(books.check("fault.kills", 5.0, traced, 5.0));
+    EXPECT_TRUE(books.check("fault.kills", 3.0, traced, 3.0));
+    EXPECT_FALSE(books.ok());
+  }
+  const std::string complete = log.str();
+  obs::set_log_stream(nullptr);
+
+  EXPECT_NE(truncated.find("trace truncated (2 events dropped): trace-side "
+                           "checks skipped"),
+            std::string::npos)
+      << truncated;
+  EXPECT_NE(truncated.find("fault.kills mismatch: counter 5, result 4"),
+            std::string::npos)
+      << truncated;
+  EXPECT_EQ(complete.find("trace truncated"), std::string::npos) << complete;
+  EXPECT_NE(complete.find("fault.kills mismatch: counter 5, trace 3, result 5"),
+            std::string::npos)
+      << complete;
 }
 
 TEST(Trace, JoinUpgradesProcessorBlameToBackfill) {

@@ -101,8 +101,11 @@ TEST(IncrementalOracle, MetricsOnlyRunsAreBitIdentical) {
         off, on, "budget=" + std::to_string(cap));
   }
   // LoCBS variants: comm-blind priorities (iCASLB), the no-backfill hole
-  // scan (LoC-MPS-nbf), slack-inflated reservations, and a platform where
-  // redistributions occupy the destination processors (no overlap).
+  // scan (LoC-MPS-nbf), slack-inflated reservations, a platform where
+  // redistributions occupy the destination processors (no overlap), and
+  // an armed perturb_task, whose final realization bypasses replay.
+  LocBSOptions perturbed;
+  perturbed.perturb_task = 1;
   LocBSOptions blind;
   blind.comm_blind = true;
   LocBSOptions nbf;
@@ -117,7 +120,8 @@ TEST(IncrementalOracle, MetricsOnlyRunsAreBitIdentical) {
   } variants[] = {{"comm_blind", cluster, blind},
                   {"no backfill", cluster, nbf},
                   {"slack=1.25", cluster, slack},
-                  {"no overlap", no_overlap, {}}};
+                  {"no overlap", no_overlap, {}},
+                  {"perturb_task=1", cluster, perturbed}};
   for (const auto& v : variants) {
     const RunCapture off = run(g, v.cluster, false, false, 100000, v.locbs);
     const RunCapture on = run(g, v.cluster, true, false, 100000, v.locbs);

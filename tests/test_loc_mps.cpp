@@ -124,15 +124,45 @@ TEST(LocMPS, RespectsMaxLocbsCallBudget) {
   Rng rng(17);
   const TaskGraph g = make_synthetic_dag(p, rng);
   const Cluster c(16);
+  // The walk stops at the cap; the one final realization (which carries
+  // an armed perturb_task) is the only evaluation past it.
   for (const std::size_t cap : {5u, 25u, 60u}) {
     for (const bool with_sink : {false, true}) {
-      LocMPSOptions opt;
-      opt.max_locbs_calls = cap;
-      const SchedulerResult r =
-          test::run_locmps_capture(g, c, opt, with_sink).result;
-      EXPECT_LE(r.iterations, cap + 2u) << "cap " << cap;
-      EXPECT_EQ(r.schedule.validate(g, CommModel(c)), "") << "cap " << cap;
+      for (const TaskId perturb : {kNoTask, TaskId{1}}) {
+        LocMPSOptions opt;
+        opt.max_locbs_calls = cap;
+        opt.locbs.perturb_task = perturb;
+        const SchedulerResult r =
+            test::run_locmps_capture(g, c, opt, with_sink).result;
+        EXPECT_LE(r.iterations, cap + 1u) << "cap " << cap;
+        EXPECT_EQ(r.schedule.validate(g, CommModel(c)), "") << "cap " << cap;
+      }
     }
+  }
+}
+
+TEST(LocMPS, RealizesEachAllocationOnce) {
+  // One initial realization, one per look-ahead refinement, one final
+  // realization of the adopted allocation — nothing per round, perturbed
+  // or not.
+  SyntheticParams p;
+  p.ccr = 1.0;
+  p.max_procs = 16;
+  Rng rng(17);
+  const TaskGraph g = make_synthetic_dag(p, rng);
+  const Cluster c(16);
+  for (const TaskId perturb : {kNoTask, TaskId{1}}) {
+    LocMPSOptions opt;
+    opt.locbs.perturb_task = perturb;
+    const test::RunCapture run = test::run_locmps_capture(g, c, opt, false);
+    const obs::MetricsSnapshot& m = run.metrics;
+    ASSERT_GT(m.counter("locmps.rounds"), 1.0);
+    EXPECT_EQ(m.counter("locmps.locbs_calls"),
+              m.counter("locmps.widened_tasks") +
+                  m.counter("locmps.widened_edges") + 2.0)
+        << "perturb " << perturb;
+    EXPECT_EQ(static_cast<double>(run.result.iterations),
+              m.counter("locmps.locbs_calls"));
   }
 }
 

@@ -12,12 +12,27 @@
 namespace locmps {
 namespace {
 
+/// The idle windows of \p q within [0, horizon) as (start, end) pairs.
+std::vector<std::pair<double, double>> idle(const Timeline& tl, ProcId q,
+                                            double horizon) {
+  std::vector<std::pair<double, double>> out;
+  for (const Timeline::Hole& h : tl.holes(q, horizon))
+    out.emplace_back(h.start, h.end);
+  return out;
+}
+
+using Windows = std::vector<std::pair<double, double>>;
+
 TEST(Timeline, FreshTimelineIsFullyFree) {
   const Timeline tl(4);
   EXPECT_EQ(tl.num_procs(), 4u);
+  Timeline::Sweep sweep(tl);
+  std::vector<Timeline::FreeProc> avail;
+  sweep.available_at(0.0, avail);
+  ASSERT_EQ(avail.size(), 4u);
   for (ProcId q = 0; q < 4; ++q) {
-    EXPECT_TRUE(tl.is_free(q, 0.0, 100.0));
-    EXPECT_EQ(tl.free_until(q, 0.0), kForever);
+    EXPECT_EQ(idle(tl, q, 100.0), (Windows{{0.0, 100.0}}));
+    EXPECT_EQ(avail[q].until, kForever);
     EXPECT_DOUBLE_EQ(tl.latest_free_time(q), 0.0);
   }
 }
@@ -25,19 +40,9 @@ TEST(Timeline, FreshTimelineIsFullyFree) {
 TEST(Timeline, OccupyBlocksWindow) {
   Timeline tl(2);
   tl.occupy(ProcessorSet::of(2, {0}), 2.0, 5.0);
-  EXPECT_FALSE(tl.is_free(0, 3.0, 4.0));
-  EXPECT_FALSE(tl.is_free(0, 0.0, 3.0));  // overlaps start
-  EXPECT_TRUE(tl.is_free(0, 0.0, 2.0));   // half-open: ends at busy start
-  EXPECT_TRUE(tl.is_free(0, 5.0, 9.0));   // free again from end
-  EXPECT_TRUE(tl.is_free(1, 0.0, 100.0));
-}
-
-TEST(Timeline, FreeUntilReportsNextBusyStart) {
-  Timeline tl(1);
-  tl.occupy(ProcessorSet::of(1, {0}), 4.0, 6.0);
-  EXPECT_DOUBLE_EQ(tl.free_until(0, 0.0), 4.0);
-  EXPECT_LT(tl.free_until(0, 5.0), 0.0);  // busy at t=5
-  EXPECT_EQ(tl.free_until(0, 6.0), kForever);
+  // Half-open: idle up to the busy start and again from the busy end.
+  EXPECT_EQ(idle(tl, 0, 9.0), (Windows{{0.0, 2.0}, {5.0, 9.0}}));
+  EXPECT_EQ(idle(tl, 1, 100.0), (Windows{{0.0, 100.0}}));
 }
 
 TEST(Timeline, LatestFreeTimeTracksLastBooking) {
@@ -69,7 +74,9 @@ TEST(Timeline, AvailableAtListsIdleProcsWithHorizon) {
   Timeline tl(3);
   tl.occupy(ProcessorSet::of(3, {0}), 0.0, 4.0);
   tl.occupy(ProcessorSet::of(3, {1}), 6.0, 8.0);
-  const auto avail = tl.available_at(1.0);
+  Timeline::Sweep sweep(tl);
+  std::vector<Timeline::FreeProc> avail;
+  sweep.available_at(1.0, avail);
   ASSERT_EQ(avail.size(), 2u);
   EXPECT_EQ(avail[0].proc, 1u);
   EXPECT_DOUBLE_EQ(avail[0].until, 6.0);
@@ -81,14 +88,15 @@ TEST(Timeline, BackToBackBookingsAllowed) {
   Timeline tl(1);
   tl.occupy(ProcessorSet::of(1, {0}), 0.0, 3.0);
   tl.occupy(ProcessorSet::of(1, {0}), 3.0, 6.0);  // abutting is fine
-  EXPECT_FALSE(tl.is_free(0, 2.0, 4.0));
+  EXPECT_EQ(idle(tl, 0, 8.0), (Windows{{6.0, 8.0}}));
   EXPECT_DOUBLE_EQ(tl.latest_free_time(0), 6.0);
 }
 
 TEST(Timeline, ZeroLengthBookingIsNoOp) {
   Timeline tl(1);
   tl.occupy(ProcessorSet::of(1, {0}), 3.0, 3.0);
-  EXPECT_TRUE(tl.is_free(0, 0.0, 100.0));
+  EXPECT_EQ(idle(tl, 0, 100.0), (Windows{{0.0, 100.0}}));
+  EXPECT_DOUBLE_EQ(tl.latest_free_time(0), 0.0);
 }
 
 TEST(TimelineHoles, EmptyTimelineIsOneHole) {
@@ -178,20 +186,8 @@ TEST(Timeline, BookingOutOfOrderKeepsSortedState) {
   Timeline tl(1);
   tl.occupy(ProcessorSet::of(1, {0}), 10.0, 12.0);
   tl.occupy(ProcessorSet::of(1, {0}), 2.0, 4.0);  // earlier hole booked later
-  EXPECT_DOUBLE_EQ(tl.free_until(0, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(tl.free_until(0, 4.0), 10.0);
+  EXPECT_EQ(idle(tl, 0, 12.0), (Windows{{0.0, 2.0}, {4.0, 10.0}}));
   EXPECT_DOUBLE_EQ(tl.latest_free_time(0), 12.0);
-}
-
-TEST(Timeline, ReleaseRestoresTheWindow) {
-  Timeline tl(2);
-  const auto ps = ProcessorSet::of(2, {0, 1});
-  tl.occupy(ps, 2.0, 5.0);
-  tl.occupy(ProcessorSet::of(2, {0}), 7.0, 9.0);
-  tl.release(ps, 2.0, 5.0);
-  EXPECT_TRUE(tl.is_free(0, 0.0, 7.0));
-  EXPECT_TRUE(tl.is_free(1, 0.0, 100.0));
-  EXPECT_DOUBLE_EQ(tl.latest_free_time(0), 9.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,9 +196,10 @@ TEST(Timeline, ReleaseRestoresTheWindow) {
 // The Timeline's augmented interval storage (sorted vectors, frontier
 // fast path, Sweep cursor) must answer every query exactly as the obvious
 // brute-force bookkeeping would. The fuzz drives both through the same
-// random op stream — occupy, release, and the full query surface — on a
-// grid of times chosen so abutting bookings, holes starting at t = 0, and
-// bookings running past the probed horizon all occur frequently.
+// random booking stream and the full query surface — Sweep::available_at,
+// candidate_times, latest_free_time and holes — on a grid of times chosen
+// so abutting bookings, holes starting at t = 0, and bookings running past
+// the probed horizon all occur frequently.
 
 /// Brute-force shadow: unordered busy intervals per processor.
 struct NaiveTimeline {
@@ -214,22 +211,12 @@ struct NaiveTimeline {
     if (e <= s) return;
     for (ProcId q : ps) busy[q].emplace_back(s, e);
   }
-  void release(const std::vector<ProcId>& ps, double s, double e) {
-    if (e <= s) return;
-    for (ProcId q : ps) {
-      auto& v = busy[q];
-      for (std::size_t i = 0; i < v.size(); ++i)
-        if (v[i].first == s && v[i].second == e) {
-          v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-    }
-  }
   bool is_free(ProcId q, double s, double e) const {
     for (const auto& iv : busy[q])
       if (iv.first < e && iv.second > s) return false;
     return true;
   }
+  /// Next busy start after \p t (kForever if none), negative if busy at t.
   double free_until(ProcId q, double t) const {
     for (const auto& iv : busy[q])
       if (iv.first <= t && t < iv.second) return -1.0;
@@ -276,6 +263,32 @@ struct NaiveTimeline {
   }
 };
 
+/// Books [s, e) on \p ps in both timelines when the window is free on every
+/// processor of \p ps (the scheduler only books verified-free windows).
+bool book(Timeline& tl, NaiveTimeline& naive, const std::vector<ProcId>& ps,
+          double s, double e) {
+  bool free = e > s;
+  for (ProcId q : ps) free = free && naive.is_free(q, s, e);
+  if (!free) return false;
+  ProcessorSet pset(tl.num_procs());
+  for (ProcId q : ps) pset.insert(q);
+  tl.occupy(pset, s, e);
+  naive.occupy(ps, s, e);
+  return true;
+}
+
+void expect_sweep_matches(Timeline::Sweep& sweep, const NaiveTimeline& naive,
+                          double t, std::uint64_t seed) {
+  std::vector<Timeline::FreeProc> got;
+  sweep.available_at(t, got);
+  const auto want = naive.available_at(t);
+  ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " t=" << t;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].proc, want[i].proc) << "seed " << seed << " t=" << t;
+    EXPECT_EQ(got[i].until, want[i].until) << "seed " << seed << " t=" << t;
+  }
+}
+
 void expect_queries_match(const Timeline& tl, const NaiveTimeline& naive,
                           Rng& rng, std::uint64_t seed) {
   const std::size_t P = tl.num_procs();
@@ -284,25 +297,11 @@ void expect_queries_match(const Timeline& tl, const NaiveTimeline& naive,
   for (int i = 0; i < 4; ++i)
     probes.push_back(0.25 * static_cast<double>(rng.uniform_int(0, 96)));
   for (const double t : probes) {
-    for (ProcId q = 0; q < P; ++q) {
-      EXPECT_EQ(tl.free_until(q, t) < 0.0, naive.free_until(q, t) < 0.0)
-          << "seed " << seed << " q=" << q << " t=" << t;
-      if (naive.free_until(q, t) >= 0.0)
-        EXPECT_EQ(tl.free_until(q, t), naive.free_until(q, t))
-            << "seed " << seed << " q=" << q << " t=" << t;
-      const double e = t + 0.25 * static_cast<double>(rng.uniform_int(1, 24));
-      EXPECT_EQ(tl.is_free(q, t, e), naive.is_free(q, t, e))
-          << "seed " << seed << " q=" << q << " [" << t << "," << e << ")";
-    }
     EXPECT_EQ(tl.candidate_times(t), naive.candidate_times(t))
         << "seed " << seed << " t=" << t;
-    const auto a = tl.available_at(t);
-    const auto b = naive.available_at(t);
-    ASSERT_EQ(a.size(), b.size()) << "seed " << seed << " t=" << t;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].proc, b[i].proc) << "seed " << seed << " t=" << t;
-      EXPECT_EQ(a[i].until, b[i].until) << "seed " << seed << " t=" << t;
-    }
+    // A fresh cursor per instant: the seek path, in any probe order.
+    Timeline::Sweep fresh(tl);
+    expect_sweep_matches(fresh, naive, t, seed);
   }
   for (ProcId q = 0; q < P; ++q) {
     EXPECT_EQ(tl.latest_free_time(q), naive.latest_free_time(q))
@@ -327,101 +326,69 @@ TEST(TimelineFuzz, MatchesNaiveReferenceAcrossSeeds) {
   constexpr std::uint64_t kSeeds = 220;
   // The generators below must actually exercise the boundary shapes the
   // suite exists for; count them and assert at the end.
-  std::size_t holes_at_zero = 0, bookings_past_horizon = 0, releases = 0;
+  std::size_t holes_at_zero = 0, bookings_past_horizon = 0,
+              out_of_order = 0, midsweep_bookings = 0;
 
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     Rng rng(0xf00dull * (seed + 1));
     const std::size_t P = static_cast<std::size_t>(rng.uniform_int(1, 4));
     Timeline tl(P);
     NaiveTimeline naive(P);
-    struct Booking {
-      std::vector<ProcId> procs;
-      double start, end;
-    };
-    std::vector<Booking> live;
 
-    const int ops = static_cast<int>(rng.uniform_int(10, 36));
+    const int ops = static_cast<int>(rng.uniform_int(6, 24));
     for (int op = 0; op < ops; ++op) {
-      const double roll = rng.uniform();
-      if (roll < 0.62 || live.empty()) {
-        // Attempt a booking on a random subset over a coarse time grid
-        // (multiples of 0.25 in [0, 20]) so abutting windows are common.
-        std::vector<ProcId> ps;
-        for (ProcId q = 0; q < P; ++q)
-          if (rng.bernoulli(0.5)) ps.push_back(q);
-        if (ps.empty()) ps.push_back(static_cast<ProcId>(
-            rng.uniform_int(0, static_cast<std::int64_t>(P) - 1)));
-        const double s = 0.25 * static_cast<double>(rng.uniform_int(0, 72));
-        const double e = s + 0.25 * static_cast<double>(rng.uniform_int(0, 24));
-        bool free = true;
-        for (ProcId q : ps) free = free && naive.is_free(q, s, e);
-        if (!free || e <= s) continue;  // only verified-free windows book
-        ProcessorSet pset(P);
-        for (ProcId q : ps) pset.insert(q);
-        tl.occupy(pset, s, e);
-        naive.occupy(ps, s, e);
-        live.push_back({ps, s, e});
-      } else {
-        // Release a random live booking — the exact window, as the
-        // scheduler's speculative undo does.
-        const std::size_t i = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(live.size()) - 1));
-        ProcessorSet pset(P);
-        for (ProcId q : live[i].procs) pset.insert(q);
-        tl.release(pset, live[i].start, live[i].end);
-        naive.release(live[i].procs, live[i].start, live[i].end);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-        ++releases;
-      }
+      // A booking on a random subset over a coarse time grid (multiples
+      // of 0.25 in [0, 20]) so abutting windows are common.
+      std::vector<ProcId> ps;
+      for (ProcId q = 0; q < P; ++q)
+        if (rng.bernoulli(0.5)) ps.push_back(q);
+      if (ps.empty()) ps.push_back(static_cast<ProcId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(P) - 1)));
+      const double s = 0.25 * static_cast<double>(rng.uniform_int(0, 72));
+      const double e = s + 0.25 * static_cast<double>(rng.uniform_int(0, 24));
+      bool behind = false;
+      for (ProcId q : ps) behind = behind || s < naive.latest_free_time(q);
+      if (book(tl, naive, ps, s, e) && behind) ++out_of_order;
     }
 
     expect_queries_match(tl, naive, rng, seed);
 
-    // Sweep cursor: ascending probes must equal available_at, including
-    // after a mutation mid-sweep (epoch re-seek) and a non-monotone probe.
+    // Sweep cursor: ascending probes must match the reference, including
+    // after a booking mid-sweep (epoch re-seek) and a non-monotone probe.
     Timeline::Sweep sweep(tl);
-    std::vector<Timeline::FreeProc> got;
     std::vector<double> asc{0.0};
     for (int i = 0; i < 6; ++i)
       asc.push_back(0.25 * static_cast<double>(rng.uniform_int(0, 96)));
     std::sort(asc.begin(), asc.end());
-    for (const double t : asc) {
-      sweep.available_at(t, got);
-      const auto want = naive.available_at(t);
-      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " t=" << t;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].proc, want[i].proc) << "seed " << seed;
-        EXPECT_EQ(got[i].until, want[i].until) << "seed " << seed;
+    for (const double t : asc) expect_sweep_matches(sweep, naive, t, seed);
+    // Book a free window under the sweep (the first that fits on a random
+    // processor, scanning the grid from a random start), then probe at
+    // and below the last instant: both invalidation paths must
+    // transparently re-seek.
+    const auto q = static_cast<ProcId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(P) - 1));
+    for (std::int64_t k = rng.uniform_int(0, 72); k <= 96; ++k) {
+      const double s = 0.25 * static_cast<double>(k);
+      if (book(tl, naive, {q}, s, s + 0.5)) {
+        ++midsweep_bookings;
+        break;
       }
     }
-    if (!live.empty()) {
-      // Mutate under the sweep, then probe below the last instant: both
-      // invalidation paths must transparently re-seek.
-      const auto& b = live.back();
-      ProcessorSet pset(P);
-      for (ProcId q : b.procs) pset.insert(q);
-      tl.release(pset, b.start, b.end);
-      naive.release(b.procs, b.start, b.end);
-      for (const double t : {asc.back(), 0.0, asc.front()}) {
-        sweep.available_at(t, got);
-        const auto want = naive.available_at(t);
-        ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " t=" << t;
-        for (std::size_t i = 0; i < got.size(); ++i)
-          EXPECT_EQ(got[i].until, want[i].until) << "seed " << seed;
-      }
-    }
+    for (const double t : {asc.back(), 0.0, asc.front()})
+      expect_sweep_matches(sweep, naive, t, seed);
 
-    for (ProcId q = 0; q < P; ++q) {
-      const auto h = tl.holes(q, 18.0);
+    for (ProcId p = 0; p < P; ++p) {
+      const auto h = tl.holes(p, 18.0);
       if (!h.empty() && h.front().start == 0.0) ++holes_at_zero;
-      if (tl.latest_free_time(q) > 18.0) ++bookings_past_horizon;
+      if (tl.latest_free_time(p) > 18.0) ++bookings_past_horizon;
     }
   }
 
   // The op mix must have covered the boundary shapes, not skirted them.
   EXPECT_GT(holes_at_zero, 50u);
   EXPECT_GT(bookings_past_horizon, 20u);
-  EXPECT_GT(releases, 100u);
+  EXPECT_GT(out_of_order, 100u);
+  EXPECT_GT(midsweep_bookings, 150u);
 }
 
 }  // namespace

@@ -423,16 +423,11 @@ bool join_and_reconcile(SchemeRun& run, const std::string& trace_path,
   obs::join_trace(run.analysis, digest);
 
   const double analyzer = run.analysis.locality.remote_bytes;
-  const double counter = run.counters.counter("sim.remote_bytes");
-  const double traced = digest.transfer_bytes;
-  const double scale = std::max({1.0, analyzer, counter, traced});
-  const bool ok = std::abs(analyzer - counter) <= 1e-9 * scale &&
-                  std::abs(analyzer - traced) <= 1e-9 * scale;
-  if (!ok) {
-    err() << "remote-volume mismatch: analyzer " << analyzer
-          << " B, counter sim.remote_bytes " << counter << " B, trace "
-          << traced << " B";
-  } else if (!quiet) {
+  obs::BookReconciler books(run.counters.counter("obs.trace.dropped"));
+  const bool ok =
+      books.check("remote volume", run.counters.counter("sim.remote_bytes"),
+                  digest.transfer_bytes, analyzer);
+  if (ok && books.trace_checked() && !quiet) {
     std::cout << "reconciled      analyzer remote volume == sim counters == "
                  "trace ("
               << fmt(analyzer / 1e6, 2) << " MB over "
@@ -513,23 +508,15 @@ int run_robustness_mode(const Options& o, const TaskGraph& g,
     const auto digest = obs::summarize_trace(records, a.num_tasks);
     // Three books: the counters, the trace and the report must agree on
     // the ensemble size, and counters/report on the distribution summary.
-    auto book = [&](const char* what, double x, double y, double z) {
-      const double scale =
-          std::max({1.0, std::fabs(x), std::fabs(y), std::fabs(z)});
-      if (std::fabs(x - y) > 1e-9 * scale ||
-          std::fabs(x - z) > 1e-9 * scale) {
-        err() << what << " mismatch: counter " << x << ", trace " << y
-              << ", report " << z;
-        ok = false;
-      }
-    };
-    book("robust.samples", snap.counter("robust.samples"),
-         static_cast<double>(digest.robust_samples),
-         static_cast<double>(rep.samples));
-    book("robust.p95", snap.counter("robust.p95"), rep.p95, rep.p95);
-    book("robust.worst", snap.counter("robust.worst"), rep.worst,
-         rep.worst);
-    if (ok && !o.quiet)
+    obs::BookReconciler books(a.trace_dropped);
+    books.check("robust.samples", snap.counter("robust.samples"),
+                static_cast<double>(digest.robust_samples),
+                static_cast<double>(rep.samples));
+    books.check("robust.p95", snap.counter("robust.p95"), rep.p95, rep.p95);
+    books.check("robust.worst", snap.counter("robust.worst"), rep.worst,
+                rep.worst);
+    ok = books.ok();
+    if (ok && books.trace_checked() && !o.quiet)
       std::cout << "reconciled      robust counters == trace == report ("
                 << rep.samples << " samples)\n";
   }
@@ -646,38 +633,33 @@ int run_straggler_mode(const Options& o, const TaskGraph& g,
     const auto records = obs::read_trace(in);
     const auto digest = obs::summarize_trace(records, a.num_tasks);
     obs::join_trace(a, digest);
-    auto book = [&](const char* what, double counter, double traced,
-                    double result) {
-      const double scale = std::max(
-          {1.0, std::fabs(counter), std::fabs(traced), std::fabs(result)});
-      if (std::fabs(counter - traced) > 1e-9 * scale ||
-          std::fabs(counter - result) > 1e-9 * scale) {
-        err() << what << " mismatch: counter " << counter << ", trace "
-              << traced << ", result " << result;
-        ok = false;
-      }
-    };
     // Mitigation accounting reconciles across all three books; the
     // perturbation exposure across two (the final clean round is the only
     // obs-attached simulation, and RecoveryResult does not re-expose it).
-    book("mitigation.stragglers", snap.counter("mitigation.stragglers"),
-         static_cast<double>(digest.mitigation_stragglers),
-         static_cast<double>(res.stragglers));
-    book("mitigation.speculations", snap.counter("mitigation.speculations"),
-         static_cast<double>(digest.mitigation_speculations),
-         static_cast<double>(res.speculations));
-    book("mitigation.replans", snap.counter("mitigation.replans"),
-         static_cast<double>(digest.mitigation_replans),
-         static_cast<double>(res.straggler_replans));
-    book("mitigation.wasted_seconds",
-         snap.counter("mitigation.wasted_seconds"),
-         digest.mitigation_wasted_s, res.mitigation_wasted_seconds);
-    book("perturb.slowed_tasks", snap.counter("perturb.slowed_tasks"),
-         static_cast<double>(digest.perturb_slow_events),
-         snap.counter("perturb.slowed_tasks"));
-    book("perturb.stretch_seconds", snap.counter("perturb.stretch_seconds"),
-         digest.perturb_stretch_s, snap.counter("perturb.stretch_seconds"));
-    if (ok && !o.quiet)
+    obs::BookReconciler books(a.trace_dropped);
+    books.check("mitigation.stragglers",
+                snap.counter("mitigation.stragglers"),
+                static_cast<double>(digest.mitigation_stragglers),
+                static_cast<double>(res.stragglers));
+    books.check("mitigation.speculations",
+                snap.counter("mitigation.speculations"),
+                static_cast<double>(digest.mitigation_speculations),
+                static_cast<double>(res.speculations));
+    books.check("mitigation.replans", snap.counter("mitigation.replans"),
+                static_cast<double>(digest.mitigation_replans),
+                static_cast<double>(res.straggler_replans));
+    books.check("mitigation.wasted_seconds",
+                snap.counter("mitigation.wasted_seconds"),
+                digest.mitigation_wasted_s, res.mitigation_wasted_seconds);
+    books.check("perturb.slowed_tasks", snap.counter("perturb.slowed_tasks"),
+                static_cast<double>(digest.perturb_slow_events),
+                snap.counter("perturb.slowed_tasks"));
+    books.check("perturb.stretch_seconds",
+                snap.counter("perturb.stretch_seconds"),
+                digest.perturb_stretch_s,
+                snap.counter("perturb.stretch_seconds"));
+    ok = books.ok();
+    if (ok && books.trace_checked() && !o.quiet)
       std::cout << "reconciled      mitigation counters == trace == result; "
                    "perturb counters == trace\n";
   }
@@ -796,17 +778,6 @@ int run_fault_mode(const Options& o, const TaskGraph& g,
   join_fault_plan(a, plan);
 
   bool ok = true;
-  auto book = [&](const char* what, double counter, double traced,
-                  double result) {
-    const double scale = std::max(
-        {1.0, std::fabs(counter), std::fabs(traced), std::fabs(result)});
-    if (std::fabs(counter - traced) > 1e-9 * scale ||
-        std::fabs(counter - result) > 1e-9 * scale) {
-      err() << what << " mismatch: counter " << counter << ", trace "
-            << traced << ", result " << result;
-      ok = false;
-    }
-  };
   if (!o.obs_out.empty()) {
     std::ifstream in(o.obs_out);
     if (!in) {
@@ -816,27 +787,29 @@ int run_fault_mode(const Options& o, const TaskGraph& g,
     const auto records = obs::read_trace(in);
     const auto digest = obs::summarize_trace(records, a.num_tasks);
     obs::join_trace(a, digest);
-    book("fault.kills", snap.counter("fault.kills"),
-         static_cast<double>(digest.fault_kills),
-         static_cast<double>(res.kills));
-    book("fault.transfer_timeouts",
-         snap.counter("fault.transfer_timeouts"),
-         static_cast<double>(digest.fault_transfer_timeouts),
-         static_cast<double>(res.transfer_timeouts));
-    book("fault.wasted_proc_seconds",
-         snap.counter("fault.wasted_proc_seconds"), digest.fault_wasted_s,
-         res.wasted_proc_seconds);
-    book("recovery.retries", snap.counter("recovery.retries"),
-         static_cast<double>(digest.recovery_retries),
-         static_cast<double>(res.retries));
-    book("recovery.replans", snap.counter("recovery.replans"),
-         static_cast<double>(digest.recovery_replans),
-         static_cast<double>(res.replans));
+    obs::BookReconciler books(a.trace_dropped);
+    books.check("fault.kills", snap.counter("fault.kills"),
+                static_cast<double>(digest.fault_kills),
+                static_cast<double>(res.kills));
+    books.check("fault.transfer_timeouts",
+                snap.counter("fault.transfer_timeouts"),
+                static_cast<double>(digest.fault_transfer_timeouts),
+                static_cast<double>(res.transfer_timeouts));
+    books.check("fault.wasted_proc_seconds",
+                snap.counter("fault.wasted_proc_seconds"),
+                digest.fault_wasted_s, res.wasted_proc_seconds);
+    books.check("recovery.retries", snap.counter("recovery.retries"),
+                static_cast<double>(digest.recovery_retries),
+                static_cast<double>(res.retries));
+    books.check("recovery.replans", snap.counter("recovery.replans"),
+                static_cast<double>(digest.recovery_replans),
+                static_cast<double>(res.replans));
     // The final clean round is the only simulated round with observability
     // attached, so the analyzer's remote volume must equal both books.
-    book("remote volume", snap.counter("sim.remote_bytes"),
-         digest.transfer_bytes, a.locality.remote_bytes);
-    if (ok && !o.quiet)
+    books.check("remote volume", snap.counter("sim.remote_bytes"),
+                digest.transfer_bytes, a.locality.remote_bytes);
+    ok = books.ok();
+    if (ok && books.trace_checked() && !o.quiet)
       std::cout << "reconciled      fault/recovery counters == trace == "
                    "result; analyzer remote volume == sim counters\n";
   }
